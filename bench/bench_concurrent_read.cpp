@@ -1,15 +1,14 @@
 // Reader throughput under write load: the lock-free snapshot read path
-// (SnapshotRdfStore) against the shared_mutex facade
-// (ConcurrentRdfStore), while a writer bulk-loads a UniProt-shaped
-// dataset into a separate model.
+// (SnapshotRdfStore) while a writer bulk-loads a UniProt-shaped dataset
+// into a separate model.
 //
-// For each system the harness measures reader point-read latency
-// (IS_TRIPLE on a pre-loaded probe model) twice: once with the writer
-// idle (the baseline) and once during the bulk load. The snapshot store
-// publishes one version per load chunk, so its readers keep running on
-// the previous version while a chunk loads; the facade's readers block
-// behind the writer's exclusive lock for every chunk. Numbers land in
-// EXPERIMENTS.md (BENCH_concurrent_read.json).
+// The harness measures reader point-read latency (IS_TRIPLE on a
+// pre-loaded probe model) twice: once with the writer idle (the
+// baseline) and once during the bulk load. The store publishes one
+// version per load chunk, so readers keep running on the previous
+// version while a chunk loads. Numbers land in EXPERIMENTS.md
+// (BENCH_concurrent_read.json, which also records the retired
+// shared_mutex facade's numbers from the run that compared the two).
 //
 // Not a google-benchmark binary: the workload is multi-role (N readers
 // + 1 writer with phase-coupled lifetimes), so the harness drives its
@@ -31,7 +30,6 @@
 #include "common/timer.h"
 #include "gen/uniprot_gen.h"
 #include "rdf/bulk_load.h"
-#include "rdf/concurrent_store.h"
 #include "rdf/snapshot_store.h"
 
 namespace rdfdb::bench {
@@ -47,7 +45,7 @@ struct Config {
 };
 
 struct PhaseResult {
-  std::string system;  ///< "snapshot" | "locked"
+  std::string system;  ///< "snapshot"
   std::string phase;   ///< "idle" | "bulkload"
   size_t ops = 0;
   double wall_s = 0;
@@ -88,9 +86,8 @@ PhaseResult RunReaders(const Config& config, const std::string& system,
           std::abort();
         }
         // Outside the timed op: on few-core hosts, readers that never
-        // yield starve the writer (and, for the locked store, starve it
-        // through the rwlock's reader preference), so neither phase
-        // would ever finish. Both systems pay the same yield.
+        // yield starve the writer, so the load phase would never
+        // finish.
         std::this_thread::yield();
       }
     });
@@ -136,8 +133,7 @@ std::string ProbeObject(const Config& config, size_t i) {
   return "bench:o" + std::to_string((i % config.probes) % 97);
 }
 
-/// Bulk-load chunks (shared by both systems so the write work is
-/// identical).
+/// Bulk-load chunks (one published version each).
 std::vector<std::vector<rdf::NTriple>> MakeChunks(
     const std::vector<rdf::NTriple>& statements, size_t chunk) {
   std::vector<std::vector<rdf::NTriple>> chunks;
@@ -209,63 +205,6 @@ SystemRun RunSnapshot(const Config& config,
   return run;
 }
 
-SystemRun RunLocked(const Config& config,
-                    const std::vector<std::vector<rdf::NTriple>>& chunks) {
-  rdf::ConcurrentRdfStore store;
-  Status loaded = store.WithWriteLock(
-      [&](rdf::RdfStore& live) { return LoadProbes(&live, config.probes); });
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "probe load failed: %s\n",
-                 loaded.ToString().c_str());
-    std::abort();
-  }
-  auto read = [&](size_t i) {
-    auto r = store.IsTriple("probe", ProbeSubject(config, i), "bench:p",
-                            ProbeObject(config, i));
-    return r.ok() && *r;
-  };
-
-  SystemRun run;
-  {
-    std::atomic<bool> stop{false};
-    std::thread timer([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(config.idle_ms));
-      stop.store(true, std::memory_order_release);
-    });
-    run.idle = RunReaders(config, "locked", "idle", stop, read);
-    timer.join();
-  }
-  {
-    std::atomic<bool> stop{false};
-    Timer writer_wall;
-    std::thread writer([&] {
-      Status created =
-          store.CreateRdfModel("bulk", "bulk_app", "triple").status();
-      if (created.ok()) {
-        // Same chunking as the snapshot store: the exclusive lock is
-        // taken per chunk, so readers get the same theoretical gaps to
-        // slip through.
-        for (const auto& chunk : chunks) {
-          Status st = store.WithWriteLock([&](rdf::RdfStore& live) {
-            return rdf::BulkLoad(&live, "bulk", chunk).status();
-          });
-          if (!st.ok()) {
-            std::fprintf(stderr, "bulk load failed: %s\n",
-                         st.ToString().c_str());
-            std::abort();
-          }
-        }
-      }
-      run.writer_wall_s =
-          static_cast<double>(writer_wall.ElapsedNanos()) * 1e-9;
-      stop.store(true, std::memory_order_release);
-    });
-    run.loaded = RunReaders(config, "locked", "bulkload", stop, read);
-    writer.join();
-  }
-  return run;
-}
-
 void PrintHuman(const PhaseResult& r) {
   std::printf("%-9s %-9s %10zu ops  %12.0f ops/s  p50 %8llu ns  "
               "p95 %8llu ns  p99 %8llu ns\n",
@@ -309,7 +248,7 @@ int main(int argc, char** argv) {
       config.idle_ms = static_cast<int>(next());
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       // CI smoke: small enough to finish in seconds, still exercising
-      // both systems and both phases end to end.
+      // both phases end to end.
       config.triples = 20000;
       config.chunk = 4096;
       config.idle_ms = 200;
@@ -330,17 +269,11 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "running snapshot store phases...\n");
   SystemRun snapshot = RunSnapshot(config, chunks);
-  std::fprintf(stderr, "running locked store phases...\n");
-  SystemRun locked = RunLocked(config, chunks);
 
   double snap_ratio = snapshot.idle.ops_per_sec() > 0
                           ? snapshot.loaded.ops_per_sec() /
                                 snapshot.idle.ops_per_sec()
                           : 0;
-  double locked_ratio =
-      locked.idle.ops_per_sec() > 0
-          ? locked.loaded.ops_per_sec() / locked.idle.ops_per_sec()
-          : 0;
 
   if (config.json) {
     std::printf("{\n");
@@ -350,28 +283,20 @@ int main(int argc, char** argv) {
     std::printf("  \"chunk\": %zu,\n", config.chunk);
     std::printf("  \"results\": [\n");
     PrintJsonResult(snapshot.idle, false);
-    PrintJsonResult(snapshot.loaded, false);
-    PrintJsonResult(locked.idle, false);
-    PrintJsonResult(locked.loaded, true);
+    PrintJsonResult(snapshot.loaded, true);
     std::printf("  ],\n");
     std::printf("  \"snapshot_writer_wall_s\": %.3f,\n",
                 snapshot.writer_wall_s);
-    std::printf("  \"locked_writer_wall_s\": %.3f,\n", locked.writer_wall_s);
-    std::printf("  \"snapshot_loaded_vs_idle\": %.4f,\n", snap_ratio);
-    std::printf("  \"locked_loaded_vs_idle\": %.4f\n", locked_ratio);
+    std::printf("  \"snapshot_loaded_vs_idle\": %.4f\n", snap_ratio);
     std::printf("}\n");
   } else {
     std::printf("readers=%d bulk_triples=%zu chunk=%zu\n", config.readers,
                 dataset.triples.size(), config.chunk);
     PrintHuman(snapshot.idle);
     PrintHuman(snapshot.loaded);
-    PrintHuman(locked.idle);
-    PrintHuman(locked.loaded);
-    std::printf("snapshot writer wall: %.3f s   locked writer wall: %.3f s\n",
-                snapshot.writer_wall_s, locked.writer_wall_s);
-    std::printf("reader throughput under load vs idle: snapshot %.1f%%, "
-                "locked %.1f%%\n",
-                100 * snap_ratio, 100 * locked_ratio);
+    std::printf("snapshot writer wall: %.3f s\n", snapshot.writer_wall_s);
+    std::printf("reader throughput under load vs idle: snapshot %.1f%%\n",
+                100 * snap_ratio);
   }
   return 0;
 }

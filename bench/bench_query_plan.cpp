@@ -9,13 +9,12 @@
 // it, execution starts from the unique mnemonic and touches one
 // protein.
 //
-// Part 2 — join executor A/B (BM_Join_*): chain and star shapes of
-// 2/3/5 patterns over a synthetic social graph, comparing the legacy
-// materializing join against the compiled streaming executor,
-// sequentially and with 2/4 worker threads. Run with
-// --benchmark_filter=Join --benchmark_repetitions=N to get interleaved
-// medians; --benchmark_out=BENCH_query_join.json for the committed
-// artifact.
+// Part 2 — join executor (BM_Join_*): chain and star shapes of 2/3/5
+// patterns over a synthetic social graph, running the compiled
+// streaming executor sequentially and with 2/4 worker threads. Run
+// with --benchmark_filter=Join --benchmark_repetitions=N to get
+// interleaved medians. BENCH_query_join.json is the committed artifact
+// of the run that also timed the retired materializing join.
 
 #include <benchmark/benchmark.h>
 
@@ -149,7 +148,7 @@ const char* kStar5 =
     "(?p <urn:join:city> ?c) (?p <urn:join:email> ?e) "
     "(?p <urn:join:knows> ?f)";
 
-enum class ExecKind { kLegacy, kCompiled, kPar2, kPar4 };
+enum class ExecKind { kCompiled, kPar2, kPar4 };
 
 void RunJoinBench(benchmark::State& state, const char* query,
                   ExecKind kind) {
@@ -163,32 +162,20 @@ void RunJoinBench(benchmark::State& state, const char* query,
   size_t solutions = 0;
   for (auto _ : state) {
     size_t n = 0;
-    Status st;
-    if (kind == ExecKind::kLegacy) {
-      EvalOptions options;
-      options.use_legacy = true;
-      st = EvalPatterns(*sys.store, *patterns, nullptr, source,
-                        [&](const IdBindings&) {
-                          ++n;
-                          return true;
-                        },
-                        options);
-    } else {
-      // Compile per iteration, as SdoRdfMatch does per query.
-      CompiledPlan plan = CompilePatterns(*sys.store, *patterns, nullptr,
-                                          source, /*reorder_patterns=*/true,
-                                          nullptr);
-      ExecOptions options;
-      options.threads = kind == ExecKind::kPar2   ? 2u
-                        : kind == ExecKind::kPar4 ? 4u
-                                                  : 1u;
-      st = ExecutePlan(*sys.store, plan, source,
-                       [&](const rdf::ValueId*) {
-                         ++n;
-                         return true;
-                       },
-                       options);
-    }
+    // Compile per iteration, as SdoRdfMatch does per query.
+    CompiledPlan plan = CompilePatterns(*sys.store, *patterns, nullptr,
+                                        source, /*reorder_patterns=*/true,
+                                        nullptr);
+    ExecOptions options;
+    options.threads = kind == ExecKind::kPar2   ? 2u
+                      : kind == ExecKind::kPar4 ? 4u
+                                                : 1u;
+    Status st = ExecutePlan(*sys.store, plan, source,
+                            [&](const rdf::ValueId*) {
+                              ++n;
+                              return true;
+                            },
+                            options);
     if (!st.ok()) state.SkipWithError("eval failed");
     solutions = n;
     benchmark::DoNotOptimize(n);
@@ -197,12 +184,6 @@ void RunJoinBench(benchmark::State& state, const char* query,
 }
 
 #define RDFDB_JOIN_BENCH(shape, query)                                       \
-  void BM_Join_##shape##_Legacy(benchmark::State& state) {                   \
-    RunJoinBench(state, query, ExecKind::kLegacy);                           \
-  }                                                                          \
-  BENCHMARK(BM_Join_##shape##_Legacy)                                        \
-      ->Apply(ApplyBenchSizes)                                               \
-      ->Unit(benchmark::kMillisecond);                                       \
   void BM_Join_##shape##_Compiled(benchmark::State& state) {                 \
     RunJoinBench(state, query, ExecKind::kCompiled);                         \
   }                                                                          \

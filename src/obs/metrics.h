@@ -2,9 +2,8 @@
 //
 // Every instrument writes through relaxed std::atomic operations only,
 // so the hot paths (rdf_value$ interning, rdf_link$ inserts, pattern
-// matching) can bump counters from inside ConcurrentRdfStore's
-// shared-lock sections without introducing a new synchronisation
-// point. The registry itself takes a mutex only on registration and on
+// matching) can bump counters from lock-free snapshot readers and the
+// writer alike without introducing a new synchronisation point. The registry itself takes a mutex only on registration and on
 // dump — never on the instrument write path.
 //
 // Naming scheme (see DESIGN.md §8): Prometheus conventions —

@@ -1,18 +1,17 @@
 // Compiled slot-based streaming join executor for SDO_RDF_MATCH.
 //
-// The original EvalPatterns join materializes one std::map<std::string,
-// ValueId> per candidate row per step. This module compiles a pattern
-// list once — variables become integer slots, constants become
-// pre-resolved VALUE_IDs (the same lookups the planner needs, done
-// exactly once) — and then streams an index-nested-loop join over a
-// single flat ValueId frame: no intermediate relations, an early stop
-// from the row callback unwinds out of the innermost LinkStore scan,
-// and FILTER runs as soon as the variables it references have values
-// (resolving only the terms the filter mentions). ExecOptions::threads
-// partitions the outermost pattern's matches across a worker pool with
-// ordered consumption (the bulk loader's pipeline shape), keeping row
-// order and therefore DISTINCT/LIMIT semantics bit-identical to the
-// sequential run. See DESIGN.md §9.
+// This module compiles a pattern list once — variables become integer
+// slots, constants become pre-resolved VALUE_IDs (the same lookups the
+// planner needs, done exactly once) — and then streams an
+// index-nested-loop join over a single flat ValueId frame: no
+// intermediate relations, an early stop from the row callback unwinds
+// out of the innermost LinkStore scan, and FILTER runs as soon as the
+// variables it references have values (resolving only the terms the
+// filter mentions). ExecOptions::threads partitions the outermost
+// pattern's matches across a worker pool with ordered consumption (the
+// bulk loader's pipeline shape), keeping row order and therefore
+// DISTINCT/LIMIT semantics bit-identical to the sequential run. See
+// DESIGN.md §9.
 
 #ifndef RDFDB_QUERY_EXEC_H_
 #define RDFDB_QUERY_EXEC_H_
@@ -65,7 +64,6 @@ ResolvedNode ResolveNode(const rdf::StoreView& store, const PatternNode& node,
 /// are already resolved: probes `source` with each pattern's constants
 /// (bounded count; dead patterns estimate 0 and run first), then picks
 /// the cheapest pattern connected to the already-bound variables.
-/// Shared by CompilePatterns and PlanPatternOrderForSource.
 std::vector<size_t> OrderResolvedPatterns(
     const std::vector<TriplePattern>& patterns,
     const std::vector<ResolvedPattern>& resolved, const TripleSource& source);
@@ -105,7 +103,7 @@ struct CompiledPlan {
   /// every filter variable that occurs in the query is bound. Only
   /// `filter_vars` (name, slot) are resolved to Terms per evaluation;
   /// filter variables absent from the query stay unbound (comparisons
-  /// against them are false, as in the materializing executor). Null
+  /// against them are false). Null
   /// `filter` (or the always-true filter) disables the whole path.
   const FilterExpr* filter = nullptr;
   ptrdiff_t filter_step = -1;

@@ -196,8 +196,8 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
   // TermForValueId lookups entirely.
   std::unordered_set<std::vector<rdf::ValueId>, IdRowHash> seen;
 
-  // Shared row sink over the projected VALUE_IDs (both executors land
-  // here, so DISTINCT/LIMIT/resolution behave identically).
+  // Row sink over the projected VALUE_IDs: DISTINCT, LIMIT and term
+  // resolution.
   auto emit_row = [&](const rdf::ValueId* ids) {
     if (options.distinct) {
       std::vector<rdf::ValueId> key(ids, ids + columns.size());
@@ -229,48 +229,32 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
   {
     obs::ScopedSpan exec_span(trace != nullptr ? &trace->exec_ns : nullptr);
     std::vector<rdf::ValueId> ids(columns.size());
-    if (options.use_legacy) {
-      EvalOptions eval_options;
-      eval_options.trace = trace;
-      eval_options.use_legacy = true;
-      eval_options.cancel = options.cancel;
-      status = EvalPatterns(
-          store, patterns, compiled_filter.get(), source,
-          [&](const IdBindings& binding) {
-            for (size_t i = 0; i < columns.size(); ++i) {
-              ids[i] = binding.at(columns[i]);
-            }
-            return emit_row(ids.data());
-          },
-          eval_options);
-    } else {
-      // Compiled path: project straight out of the executor's slot
-      // frame — no per-solution binding map.
-      const FilterExpr* f = compiled_filter.get();
-      if (f != nullptr && f->IsAlwaysTrue()) f = nullptr;
-      CompiledPlan plan = CompilePatterns(store, patterns, f, source,
-                                          /*reorder_patterns=*/true, trace);
-      std::vector<SlotIndex> col_slots;
-      col_slots.reserve(columns.size());
-      for (const std::string& var : columns) {
-        col_slots.push_back(plan.SlotOf(var));
-      }
-      ExecOptions exec_options;
-      exec_options.threads = options.threads;
-      exec_options.chunk_frames = options.chunk_frames;
-      exec_options.trace = trace;
-      exec_options.timeline = store.timeline();
-      exec_options.cancel = options.cancel;
-      status = ExecutePlan(
-          store, plan, source,
-          [&](const rdf::ValueId* slots) {
-            for (size_t i = 0; i < columns.size(); ++i) {
-              ids[i] = slots[col_slots[i]];
-            }
-            return emit_row(ids.data());
-          },
-          exec_options);
+    // Project straight out of the executor's slot frame — no
+    // per-solution binding map.
+    const FilterExpr* f = compiled_filter.get();
+    if (f != nullptr && f->IsAlwaysTrue()) f = nullptr;
+    CompiledPlan plan = CompilePatterns(store, patterns, f, source,
+                                        /*reorder_patterns=*/true, trace);
+    std::vector<SlotIndex> col_slots;
+    col_slots.reserve(columns.size());
+    for (const std::string& var : columns) {
+      col_slots.push_back(plan.SlotOf(var));
     }
+    ExecOptions exec_options;
+    exec_options.threads = options.threads;
+    exec_options.chunk_frames = options.chunk_frames;
+    exec_options.trace = trace;
+    exec_options.timeline = store.timeline();
+    exec_options.cancel = options.cancel;
+    status = ExecutePlan(
+        store, plan, source,
+        [&](const rdf::ValueId* slots) {
+          for (size_t i = 0; i < columns.size(); ++i) {
+            ids[i] = slots[col_slots[i]];
+          }
+          return emit_row(ids.data());
+        },
+        exec_options);
   }
   RDFDB_RETURN_NOT_OK(status);
   const obs::ResourceUsage query_usage = query_scope.Usage();

@@ -87,10 +87,6 @@ struct MatchOptions {
   /// Outer frames per parallel work chunk (see
   /// EvalOptions::chunk_frames); results are identical at any size.
   size_t chunk_frames = 512;
-  /// Evaluate with the legacy materializing join instead of the
-  /// compiled streaming executor (differential-testing oracle; see
-  /// EvalOptions::use_legacy).
-  bool use_legacy = false;
   /// EXPLAIN ANALYZE hook: when non-null, SdoRdfMatch resets the trace
   /// and fills it with the chosen plan, per-pattern scan/emit counts,
   /// dictionary traffic, DISTINCT/filter drops and per-stage wall

@@ -1,7 +1,6 @@
 #include "query/rules_index.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/hash.h"
 #include "obs/store_metrics.h"
@@ -156,209 +155,6 @@ void UnionSource::Match(std::optional<ValueId> s, std::optional<ValueId> p,
   }
 }
 
-std::vector<size_t> PlanPatternOrder(
-    const std::vector<TriplePattern>& patterns) {
-  // Greedy selectivity order: prefer patterns with many constants and
-  // with variables already bound by earlier picks (so every step is a
-  // join, not a cross product). Subject/object constants weigh more
-  // than predicate constants (predicates are typically low-selectivity).
-  std::vector<size_t> order;
-  std::vector<bool> used(patterns.size(), false);
-  std::set<std::string> bound;
-  for (size_t step = 0; step < patterns.size(); ++step) {
-    int best_score = -1;
-    size_t best = 0;
-    for (size_t i = 0; i < patterns.size(); ++i) {
-      if (used[i]) continue;
-      const TriplePattern& p = patterns[i];
-      int score = 0;
-      if (!p.subject.is_variable) score += 4;
-      if (!p.object.is_variable) score += 4;
-      if (!p.predicate.is_variable) score += 1;
-      for (const std::string& var : p.Variables()) {
-        if (bound.count(var) > 0) score += 3;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    used[best] = true;
-    order.push_back(best);
-    for (const std::string& var : patterns[best].Variables()) {
-      bound.insert(var);
-    }
-  }
-  return order;
-}
-
-std::vector<size_t> PlanPatternOrderForSource(
-    const rdf::StoreView& store, const std::vector<TriplePattern>& patterns,
-    const TripleSource& source) {
-  // Untraced resolution (this entry point is advisory — the compiled
-  // path resolves once, traced, inside CompilePatterns and shares the
-  // same ordering function).
-  std::vector<ResolvedPattern> resolved(patterns.size());
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    resolved[i].s = ResolveNode(store, patterns[i].subject, false);
-    resolved[i].p = ResolveNode(store, patterns[i].predicate, false);
-    resolved[i].o = ResolveNode(store, patterns[i].object, true);
-  }
-  return OrderResolvedPatterns(patterns, resolved, source);
-}
-
-namespace {
-
-/// The original materializing join, kept verbatim as the differential
-/// oracle for the compiled executor (EvalOptions::use_legacy). Joins by
-/// copying a full binding map per consistent candidate row and
-/// materializes every intermediate relation.
-Status EvalPatternsLegacy(const rdf::StoreView& store,
-                          const std::vector<TriplePattern>& patterns,
-                          const FilterExpr* filter,
-                          const TripleSource& source,
-                          const std::function<bool(const IdBindings&)>& fn,
-                          const EvalOptions& options) {
-  obs::QueryTrace* trace = options.trace;
-  std::vector<size_t> order;
-  {
-    obs::ScopedSpan plan_span(trace != nullptr ? &trace->plan_ns : nullptr);
-    if (options.reorder_patterns) {
-      order = PlanPatternOrderForSource(store, patterns, source);
-    } else {
-      for (size_t i = 0; i < patterns.size(); ++i) order.push_back(i);
-    }
-  }
-  if (trace != nullptr) {
-    trace->plan_order = order;
-    trace->reordered = options.reorder_patterns;
-  }
-  // Trace entries this call appends start here (the trace may already
-  // hold entries from an earlier EvalPatterns over the same trace).
-  const size_t trace_base = trace != nullptr ? trace->patterns.size() : 0;
-
-  // Resolve all constants up front, in execution order.
-  struct ExecPattern {
-    ResolvedNode s, p, o;
-  };
-  std::vector<ExecPattern> exec;
-  exec.reserve(patterns.size());
-  for (size_t index : order) {
-    const TriplePattern& pattern = patterns[index];
-    if (trace != nullptr) {
-      obs::PatternTrace pt;
-      pt.pattern_index = index;
-      pt.text = pattern.ToString();
-      trace->patterns.push_back(std::move(pt));
-    }
-    ExecPattern ep;
-    ep.s = ResolveNode(store, pattern.subject, /*object_position=*/false,
-                       trace);
-    ep.p = ResolveNode(store, pattern.predicate, /*object_position=*/false,
-                       trace);
-    ep.o = ResolveNode(store, pattern.object, /*object_position=*/true,
-                       trace);
-    if (ep.s.missing || ep.p.missing || ep.o.missing) {
-      // A constant the store has never seen: no rows. The pattern's
-      // trace entry stays at zero scanned/emitted.
-      if (trace != nullptr) trace->dead_constant = true;
-      return Status::OK();
-    }
-    exec.push_back(std::move(ep));
-  }
-
-  // Left-to-right join. Variables bind subject/predicate positions to the
-  // triple's s/p ids and object positions to the *canonical* object id,
-  // so equal RDF values join regardless of lexical form.
-  std::vector<IdBindings> current;
-  current.emplace_back();
-  for (size_t step = 0; step < exec.size(); ++step) {
-    const ExecPattern& ep = exec[step];
-    size_t scanned = 0;
-    std::vector<IdBindings> next;
-    for (const IdBindings& binding : current) {
-      if (options.cancel != nullptr && options.cancel->Expired()) {
-        return options.cancel->StatusIfDone();
-      }
-      auto constraint =
-          [&](const ResolvedNode& node) -> std::optional<ValueId> {
-        if (!node.is_var) return node.id;
-        auto it = binding.find(node.var);
-        if (it != binding.end()) return it->second;
-        return std::nullopt;
-      };
-      std::optional<ValueId> cs = constraint(ep.s);
-      std::optional<ValueId> cp = constraint(ep.p);
-      std::optional<ValueId> co = constraint(ep.o);
-      source.Match(cs, cp, co, [&](const IdTriple& t) {
-        ++scanned;
-        // Probe first, copy on success: collect the row's variable
-        // values and check consistency (a variable repeated within the
-        // pattern, or already bound) before paying for the map copy.
-        const ResolvedNode* nodes[3] = {&ep.s, &ep.p, &ep.o};
-        const ValueId values[3] = {t.s, t.p, t.canon_o};
-        const std::string* fresh_vars[3];
-        ValueId fresh_values[3];
-        size_t fresh = 0;
-        for (size_t pos = 0; pos < 3; ++pos) {
-          if (!nodes[pos]->is_var) continue;
-          const std::string& var = nodes[pos]->var;
-          auto it = binding.find(var);
-          if (it != binding.end()) {
-            if (it->second != values[pos]) return true;
-            continue;
-          }
-          bool dup = false;
-          for (size_t f = 0; f < fresh; ++f) {
-            if (*fresh_vars[f] == var) {
-              if (fresh_values[f] != values[pos]) return true;
-              dup = true;
-              break;
-            }
-          }
-          if (dup) continue;
-          fresh_vars[fresh] = &var;
-          fresh_values[fresh] = values[pos];
-          ++fresh;
-        }
-        IdBindings extended = binding;
-        for (size_t f = 0; f < fresh; ++f) {
-          extended.emplace(*fresh_vars[f], fresh_values[f]);
-        }
-        next.push_back(std::move(extended));
-        return true;
-      });
-    }
-    if (trace != nullptr) {
-      trace->patterns[trace_base + step].rows_scanned = scanned;
-      trace->patterns[trace_base + step].rows_emitted = next.size();
-    }
-    current = std::move(next);
-    if (current.empty()) return Status::OK();
-  }
-
-  for (const IdBindings& binding : current) {
-    if (filter != nullptr) {
-      if (trace != nullptr) ++trace->filter_evaluations;
-      Bindings term_bindings;
-      for (const auto& [var, id] : binding) {
-        auto term = store.TermForValueId(id);
-        if (!term.ok()) return term.status();
-        term_bindings.emplace(var, std::move(term).value());
-      }
-      if (trace != nullptr) trace->value_resolutions += binding.size();
-      if (!filter->Evaluate(term_bindings)) {
-        if (trace != nullptr) ++trace->filter_rejections;
-        continue;
-      }
-    }
-    if (!fn(binding)) break;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status EvalPatterns(const rdf::StoreView& store,
                     const std::vector<TriplePattern>& patterns,
                     const FilterExpr* filter, const TripleSource& source,
@@ -367,10 +163,6 @@ Status EvalPatterns(const rdf::StoreView& store,
   // The always-true filter can never reject a row; dropping it here
   // skips the per-row term materialisation the filter loop would do.
   if (filter != nullptr && filter->IsAlwaysTrue()) filter = nullptr;
-  if (options.use_legacy) {
-    return EvalPatternsLegacy(store, patterns, filter, source, fn, options);
-  }
-
   CompiledPlan plan =
       CompilePatterns(store, patterns, filter, source,
                       options.reorder_patterns, options.trace);

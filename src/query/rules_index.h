@@ -131,21 +131,14 @@ struct EvalOptions {
   /// identical either way; only the work per solution changes.
   bool reorder_patterns = true;
 
-  /// Evaluate with the original materializing join (one binding map
-  /// copied per candidate row) instead of the compiled streaming
-  /// executor (query/exec.h). Kept as the differential-testing oracle:
-  /// slower, identical rows in identical order.
-  bool use_legacy = false;
-
-  /// Worker threads for the compiled executor's outer-pattern
-  /// partition: 1 = sequential, 0 = one per hardware thread (capped).
-  /// Ignored by the legacy executor. Row order and results are
-  /// identical at any thread count.
+  /// Worker threads for the executor's outer-pattern partition: 1 =
+  /// sequential, 0 = one per hardware thread (capped). Row order and
+  /// results are identical at any thread count.
   unsigned threads = 1;
 
-  /// Outer frames per parallel work chunk (compiled executor only).
-  /// Smaller chunks spread skewed outer bindings across workers at the
-  /// cost of more hand-off; results are identical at any size.
+  /// Outer frames per parallel work chunk. Smaller chunks spread skewed
+  /// outer bindings across workers at the cost of more hand-off;
+  /// results are identical at any size.
   size_t chunk_frames = 512;
 
   /// When non-null, EvalPatterns appends one PatternTrace per executed
@@ -155,32 +148,16 @@ struct EvalOptions {
   /// trace once per query; direct callers reset it themselves.
   obs::QueryTrace* trace = nullptr;
 
-  /// Cooperative cancellation token, polled by the compiled executor at
-  /// its row-loop checkpoints (see query/exec.h). The legacy executor
-  /// checks it once per candidate row of the outermost pattern. A fired
-  /// token unwinds with DeadlineExceeded/Cancelled; trace counts
-  /// flushed so far remain valid. Null disables the path.
+  /// Cooperative cancellation token, polled by the executor at its
+  /// row-loop checkpoints (see query/exec.h). A fired token unwinds
+  /// with DeadlineExceeded/Cancelled; trace counts flushed so far
+  /// remain valid. Null disables the path.
   const CancelToken* cancel = nullptr;
 };
 
-/// The greedy join order the static planner would pick (no data
-/// statistics): indices into `patterns`.
-std::vector<size_t> PlanPatternOrder(
-    const std::vector<TriplePattern>& patterns);
-
-/// Cardinality-aware join order: probes `source` with each pattern's
-/// constant positions (bounded count) and greedily picks the cheapest
-/// pattern connected to the already-bound variables. This is the order
-/// EvalPatterns uses when `reorder_patterns` is set.
-std::vector<size_t> PlanPatternOrderForSource(
-    const rdf::StoreView& store,
-    const std::vector<TriplePattern>& patterns, const TripleSource& source);
-
 /// Evaluate a pattern list against `source`; calls `fn` once per
-/// solution. The default path compiles the patterns to the slot-based
-/// streaming executor (query/exec.h) and builds one IdBindings map per
-/// solution; EvalOptions::use_legacy selects the original materializing
-/// join. `filter` (nullable) rejects solutions, with the terms it
+/// solution. Compiles the patterns to the slot-based streaming executor
+/// (query/exec.h) and builds one IdBindings map per solution. `filter` (nullable) rejects solutions, with the terms it
 /// references resolved through `store`. Return false from `fn` to stop
 /// early — the stop unwinds out of the innermost scan.
 Status EvalPatterns(const rdf::StoreView& store,

@@ -219,9 +219,8 @@ Result<bool> RdfStore::IsLinkReified(ModelId model_id, LinkId link_id) const {
   if (!r_id.has_value()) return false;
   // Strictly read-only: no mutable caching of the rdf:type /
   // rdf:Statement ids here — each is a single hash-index probe, and a
-  // const read path lets concurrent facades serve IS_REIFIED without a
-  // first-call lock upgrade. Snapshot versions pre-resolve both ids at
-  // publish time instead.
+  // const read path needs no first-call lock upgrade. Snapshot versions
+  // pre-resolve both ids at publish time instead.
   std::optional<ValueId> type_id =
       values_->Lookup(Term::Uri(std::string(kRdfType)));
   if (!type_id.has_value()) return false;

@@ -244,8 +244,8 @@ class RdfStore : public StoreView {
   /// three pointers are non-owning, default to null (every emission
   /// site is then a single branch), and must outlive the store while
   /// attached. Not thread-safe with respect to concurrent operations —
-  /// attach before sharing the store (ConcurrentRdfStore::
-  /// SetObservability does this under its write lock).
+  /// attach before sharing the store (SnapshotRdfStore::SetObservability
+  /// does this under its writer lock).
   void set_event_log(obs::EventLog* log);
   obs::EventLog* event_log() const { return event_log_; }
   void set_slow_query_log(obs::SlowQueryLog* log) { slow_query_log_ = log; }

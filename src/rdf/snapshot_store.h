@@ -1,9 +1,9 @@
 // SnapshotRdfStore: lock-free snapshot reads over the RDF store.
 //
-// The ConcurrentRdfStore facade serializes every read against every
-// write with one shared_mutex, so a bulk load stalls all readers for
-// its whole duration. This store removes the reader-side lock
-// entirely: the (single, internally serialized) writer batches
+// A readers-writer lock around the store would serialize every read
+// against every write, so a bulk load would stall all readers for its
+// whole duration. This store has no reader-side lock at all: the
+// (single, internally serialized) writer batches
 // mutations against the live RdfStore and, at each publish boundary,
 // snapshots the store's read state into an immutable StoreVersion —
 // the copy-on-write per-model quad caches, a model-name map, the

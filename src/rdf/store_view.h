@@ -1,12 +1,11 @@
 // StoreView: the read-side surface the query executor runs against.
 //
 // Two implementations exist: the live RdfStore (reads see the writer's
-// current state; callers provide their own locking, e.g. the legacy
-// ConcurrentRdfStore facade) and a published StoreVersion (an immutable
+// current state; callers provide their own locking, e.g. inside
+// SnapshotRdfStore::Apply) and a published StoreVersion (an immutable
 // snapshot pinned through SnapshotRdfStore — lock-free reads). The
-// compiled executor, the legacy join, and SDO_RDF_MATCH are written
-// against this interface so a query is oblivious to which one it runs
-// on.
+// compiled executor and SDO_RDF_MATCH are written against this
+// interface so a query is oblivious to which one it runs on.
 
 #ifndef RDFDB_RDF_STORE_VIEW_H_
 #define RDFDB_RDF_STORE_VIEW_H_

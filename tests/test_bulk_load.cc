@@ -1,4 +1,5 @@
 #include "rdf/bulk_load.h"
+#include "test_temp_dir.h"
 
 #include <gtest/gtest.h>
 
@@ -107,7 +108,8 @@ TEST_F(BulkLoadTest, ExportBlankNodesUseInternalLabels) {
 }
 
 TEST_F(BulkLoadTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/rdfdb_bulk.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("bulk.nt");
   std::vector<NTriple> statements = {
       {U("http://a"), U("http://p"), U("http://b")},
       {U("http://c"), U("http://q"), Term::PlainLiteral("text value")},
@@ -117,7 +119,7 @@ TEST_F(BulkLoadTest, FileRoundTrip) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->new_links, 2u);
 
-  std::string out_path = ::testing::TempDir() + "/rdfdb_bulk_out.nt";
+  std::string out_path = temp.Path("bulk_out.nt");
   ASSERT_TRUE(ExportModelToFile(store_, "m", out_path).ok());
   auto reparsed = ParseNTriplesFile(out_path);
   ASSERT_TRUE(reparsed.ok());
@@ -228,7 +230,8 @@ TEST(BulkLoadIdentityTest, PipelinedMatchesSequentialBitForBit) {
 
 TEST(BulkLoadIdentityTest, FileLoadMatchesSequentialBitForBit) {
   const std::vector<NTriple> statements = MixedStatements(300);
-  std::string path = ::testing::TempDir() + "/rdfdb_identity.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("identity.nt");
   ASSERT_TRUE(WriteNTriplesFile(path, statements).ok());
 
   RdfStore reference;
@@ -315,7 +318,8 @@ TEST(BulkLoadIdentityTest, BlankNodesStayModelScoped) {
 }
 
 TEST_F(BulkLoadTest, MalformedLineInLaterChunkReportsAbsoluteLineNumber) {
-  std::string path = ::testing::TempDir() + "/rdfdb_malformed.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("malformed.nt");
   {
     std::ofstream out(path, std::ios::trunc);
     for (int i = 1; i <= 30; ++i) {

@@ -252,21 +252,6 @@ TEST_F(ExecCancelTest, DeadlineMidMatchReturnsPartialTrace) {
   EXPECT_LT(scanned, size_t{512} + 512 * 512);
 }
 
-TEST_F(ExecCancelTest, LegacyExecutorHonoursToken) {
-  Load(256);
-  CancelToken token;
-  token.Cancel();
-  MatchOptions options;
-  options.use_legacy = true;
-  options.cancel = &token;
-  auto result = SdoRdfMatch(&store_, nullptr,
-                            "(?a <http://t.example/p> ?x) "
-                            "(?b <http://t.example/p> ?y)",
-                            {"m"}, {}, {}, "", options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCancelled());
-}
-
 TEST(BulkLoadCancelTest, PreCancelledTokenInsertsNothing) {
   rdf::RdfStore store;
   ASSERT_TRUE(store.CreateRdfModel("m", "m_app", "triple").ok());

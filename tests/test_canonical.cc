@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "rdf/vocab.h"
 
 namespace rdfdb::rdf {
@@ -12,6 +15,14 @@ struct CanonCase {
   const char* input;
   const char* expected;
 };
+
+// Names each case by datatype and input, e.g. "int(+025)". Without it gtest
+// prints the struct's raw bytes, which hold string addresses, so the case
+// names would change from one run to the next.
+void PrintTo(const CanonCase& c, std::ostream* os) {
+  std::string_view datatype = c.datatype;
+  *os << datatype.substr(datatype.find('#') + 1) << '(' << c.input << ')';
+}
 
 class CanonicalFormTest : public ::testing::TestWithParam<CanonCase> {};
 

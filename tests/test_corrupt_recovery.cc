@@ -16,6 +16,7 @@
 #include "storage/database.h"
 #include "storage/env.h"
 #include "storage/snapshot.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb {
 namespace {
@@ -63,13 +64,8 @@ constexpr size_t kFooterSize = 24;
 class CorruptRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Per-case directories: ctest runs each case as its own process,
-    // possibly in parallel, and a shared path makes the cases race.
-    const std::string case_name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    base_ = ::testing::TempDir() + "/rdfdb_corrupt_" + case_name + "_base";
-    victim_ = ::testing::TempDir() + "/rdfdb_corrupt_" + case_name + "_victim";
-    RemoveAll();
+    base_ = temp_.Path("base");
+    victim_ = temp_.Path("victim");
 
     // Build a real store: checkpoint (=> generation snapshot +
     // manifest) plus post-checkpoint log records.
@@ -99,19 +95,7 @@ class CorruptRecoveryTest : public ::testing::Test {
     ASSERT_FALSE(log_bytes_.empty());
   }
 
-  void TearDown() override { RemoveAll(); }
-
-  void RemoveAll() {
-    auto rm = [](const std::string& p) { std::remove(p.c_str()); };
-    rm(base_);
-    rm(base_ + ".log");
-    rm(LoggedRdfStore::ManifestPath(base_));
-    for (uint64_t gen = 1; gen <= 4; ++gen) {
-      rm(LoggedRdfStore::GenerationFileName(base_, gen));
-    }
-    rm(victim_);
-  }
-
+  test::TestTempDir temp_;
   std::string base_, victim_;
   std::string snapshot_bytes_, manifest_bytes_, log_bytes_;
 };

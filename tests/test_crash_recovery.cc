@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "rdf/redo_log.h"
 #include "storage/env.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -204,8 +205,8 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 
   std::string BasePath(size_t run) const {
-    return ::testing::TempDir() + "/rdfdb_torture_" +
-           std::to_string(seed_) + "_" + std::to_string(run);
+    return temp_.Path("torture_" + std::to_string(seed_) + "_" +
+                      std::to_string(run));
   }
 
   static void RemoveStoreFiles(const std::string& base) {
@@ -266,6 +267,7 @@ class CrashRecoveryTest : public ::testing::Test {
     return -1;
   }
 
+  test::TestTempDir temp_;
   uint64_t seed_ = 0;
   std::vector<Op> ops_;
   std::vector<std::string> dumps_;

@@ -4,22 +4,19 @@
 
 #include <cstdio>
 
+#include "test_temp_dir.h"
+
 namespace rdfdb::storage {
 namespace {
 
 class EnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/rdfdb_env_test.dat";
-    path2_ = ::testing::TempDir() + "/rdfdb_env_test2.dat";
-    std::remove(path_.c_str());
-    std::remove(path2_.c_str());
-  }
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove(path2_.c_str());
+    path_ = temp_.Path("env_test.dat");
+    path2_ = temp_.Path("env_test2.dat");
   }
 
+  test::TestTempDir temp_;
   std::string path_;
   std::string path2_;
 };

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "rdf/bulk_load.h"
 #include "rdf/rdf_store.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::obs {
 namespace {
@@ -159,8 +160,8 @@ TEST(EventLogTest, ConcurrentWritersProduceExactlyOnceDelivery) {
 }
 
 TEST(EventLogTest, FileSinkAppendsJsonl) {
-  const std::string path = ::testing::TempDir() + "/event_log_test.jsonl";
-  std::remove(path.c_str());
+  test::TestTempDir temp;
+  const std::string path = temp.Path("event_log_test.jsonl");
   {
     EventLog::Options options;
     options.path = path;

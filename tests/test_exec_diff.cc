@@ -1,9 +1,9 @@
 // Differential tests for the compiled streaming join executor: on
 // randomized 1–5-pattern queries (star and chain shapes, filters,
-// DISTINCT, LIMIT) over generated UniProt data, the compiled executor —
-// sequential and parallel at several thread counts and chunk sizes —
-// must produce exactly the legacy materializing join's rows, in the
-// same order.
+// DISTINCT, LIMIT) over generated UniProt data, the compiled executor
+// must produce the answer of the brute-force reference model
+// (reference_model.h), and its parallel runs at several thread counts
+// and chunk sizes must reproduce the sequential run row for row.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "rdf/ntriples.h"
 #include "rdf/rdf_store.h"
 #include "rdf/term.h"
+#include "reference_model.h"
 
 namespace rdfdb::query {
 namespace {
@@ -32,16 +33,39 @@ struct SampledTriple {
   rdf::Term s, p, o;
 };
 
-/// Store + term-level triple sample shared by every test (loading the
-/// workload once keeps the whole suite fast).
+/// Store, reference model and term-level triple sample shared by every
+/// test (loading the workload once keeps the whole suite fast).
 struct DiffData {
   rdf::RdfStore store;
+  test::ReferenceStore reference;
   std::vector<SampledTriple> triples;
   /// Indexes into `triples` grouped by subject lexical (star shapes).
   std::unordered_map<std::string, std::vector<size_t>> by_subject;
   /// Literal display strings safe to embed in filter text.
   std::vector<std::string> literal_pool;
 };
+
+/// The reference-model half of gen::LoadUniProtIntoOracle: the same
+/// statements through the model's own constructors.
+Status LoadIntoReference(test::ReferenceStore* reference,
+                         const gen::UniProtDataset& dataset) {
+  RDFDB_RETURN_NOT_OK(reference->CreateModel(kModel));
+  for (const rdf::NTriple& t : dataset.triples) {
+    RDFDB_RETURN_NOT_OK(
+        reference->InsertTerms(kModel, t.subject, t.predicate, t.object)
+            .status());
+  }
+  for (const gen::ReifiedStatement& r : dataset.reified) {
+    RDFDB_ASSIGN_OR_RETURN(
+        rdf::LinkId base,
+        reference->InsertTerms(kModel, r.base.subject, r.base.predicate,
+                               r.base.object));
+    RDFDB_RETURN_NOT_OK(
+        reference->AssertAbout(kModel, r.curator_uri, gen::kUpCuratedBy, base)
+            .status());
+  }
+  return Status::OK();
+}
 
 DiffData* SharedData() {
   static DiffData* data = [] {
@@ -53,6 +77,11 @@ DiffData* SharedData() {
                                            dataset);
     if (!load.ok()) {
       ADD_FAILURE() << "workload load failed: " << load.status().ToString();
+      return d;
+    }
+    Status modeled = LoadIntoReference(&d->reference, dataset);
+    if (!modeled.ok()) {
+      ADD_FAILURE() << "reference load failed: " << modeled.ToString();
       return d;
     }
     d->store.links().ScanModel(
@@ -124,8 +153,8 @@ GeneratedQuery GenerateQuery(Random& rng, const DiffData& data) {
   const SampledTriple* current = &data.triples[seed_idx];
   std::string chain_subject_var;
   // One variable predicate per query keeps every pattern selective
-  // enough that the legacy oracle's materialized intermediates stay
-  // small (a disconnected wide scan multiplies them).
+  // enough that the reference model's nested loops stay small (a
+  // disconnected wide scan multiplies them).
   bool used_var_predicate = false;
 
   for (size_t i = 0; i < pattern_count; ++i) {
@@ -206,65 +235,126 @@ GeneratedQuery GenerateQuery(Random& rng, const DiffData& data) {
   return q;
 }
 
-Result<MatchResult> RunQuery(const GeneratedQuery& q, bool use_legacy,
-                             unsigned threads, size_t chunk_frames,
+Result<MatchResult> RunQuery(const GeneratedQuery& q, unsigned threads,
+                             size_t chunk_frames,
                              const std::string& model = kModel) {
   MatchOptions options = q.options;
-  options.use_legacy = use_legacy;
   options.threads = threads;
   options.chunk_frames = chunk_frames;
   return SdoRdfMatch(&SharedData()->store, nullptr, q.patterns, {model},
                      {}, {}, q.filter, options);
 }
 
-/// Assert the compiled executor reproduces the legacy rows exactly —
-/// same columns, same rows, same order — at several thread counts and
-/// chunk sizes.
-void ExpectDifferentialMatch(const GeneratedQuery& q,
-                             const std::string& model = kModel) {
+/// Comparable text of a term. The store names a blank node by its
+/// model-scoped label ("m<model id>x<label>"); the key keeps only the
+/// label, as the reference model does.
+std::string TermKey(const rdf::Term& term) {
+  if (!term.is_blank()) return term.ToNTriples();
+  const std::string& label = term.lexical();
+  size_t x = 1;
+  while (x < label.size() && label[x] >= '0' && label[x] <= '9') ++x;
+  if (label.size() > 2 && label[0] == 'm' && x > 1 && x < label.size() &&
+      label[x] == 'x') {
+    return "_:" + label.substr(x + 1);
+  }
+  return "_:" + label;
+}
+
+/// Rows as sorted keys (multiset order).
+std::vector<std::string> SortedRowKeys(size_t rows, size_t cols,
+                                       const auto& at) {
+  std::vector<std::string> keys;
+  for (size_t r = 0; r < rows; ++r) {
+    std::string key;
+    for (size_t c = 0; c < cols; ++c) key += TermKey(at(r, c)) + "\t";
+    keys.push_back(std::move(key));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Assert the compiled executor's sequential answer agrees with the
+/// reference model's full answer — equal multisets without LIMIT; with
+/// LIMIT n, a sub-multiset of size min(n, |answer|) (distinct rows under
+/// DISTINCT) — and that every parallel thread/chunk configuration
+/// reproduces the sequential rows in the same order.
+void ExpectMatchesReference(const GeneratedQuery& q,
+                            const std::string& model = kModel) {
   SCOPED_TRACE("query: " + q.patterns + " filter: " + q.filter +
                (q.options.distinct ? " DISTINCT" : "") +
                " limit=" + std::to_string(q.options.limit));
-  auto expected = RunQuery(q, /*use_legacy=*/true, 1, 512, model);
+  test::RefQuery ref_query;
+  ref_query.patterns = q.patterns;
+  ref_query.filter = q.filter;
+  ref_query.projection = q.options.projection;
+  ref_query.distinct = q.options.distinct;
+  auto expected = SharedData()->reference.Match(ref_query, {model});
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto sequential = RunQuery(q, 1, 512, model);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  ASSERT_EQ(sequential->columns(), expected->columns);
+
+  const size_t cols = expected->columns.size();
+  const std::vector<std::string> want = SortedRowKeys(
+      expected->rows.size(), cols,
+      [&](size_t r, size_t c) -> const rdf::Term& {
+        return expected->rows[r][c];
+      });
+  const std::vector<std::string> got = SortedRowKeys(
+      sequential->row_count(), cols,
+      [&](size_t r, size_t c) -> const rdf::Term& {
+        return sequential->at(r, c);
+      });
+  if (q.options.limit == 0) {
+    ASSERT_EQ(got, want);
+  } else {
+    ASSERT_EQ(got.size(), std::min(q.options.limit, want.size()));
+    ASSERT_TRUE(std::includes(want.begin(), want.end(), got.begin(),
+                              got.end()))
+        << "LIMIT rows are not a sub-multiset of the full answer";
+    if (q.options.distinct) {
+      ASSERT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
+          << "DISTINCT returned a duplicate row";
+    }
+  }
 
   struct Config {
     unsigned threads;
     size_t chunk_frames;
   };
-  const Config configs[] = {{1, 512}, {2, 3}, {2, 512}, {8, 1}, {8, 512}};
+  const Config configs[] = {{2, 3}, {2, 512}, {8, 1}, {8, 512}};
   for (const Config& config : configs) {
     SCOPED_TRACE("threads=" + std::to_string(config.threads) +
                  " chunk_frames=" + std::to_string(config.chunk_frames));
-    auto got = RunQuery(q, /*use_legacy=*/false, config.threads,
-                        config.chunk_frames, model);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(got->columns(), expected->columns());
-    ASSERT_EQ(got->row_count(), expected->row_count());
-    for (size_t r = 0; r < got->row_count(); ++r) {
-      for (size_t c = 0; c < got->columns().size(); ++c) {
-        ASSERT_TRUE(got->at(r, c) == expected->at(r, c))
+    auto parallel =
+        RunQuery(q, config.threads, config.chunk_frames, model);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ASSERT_EQ(parallel->columns(), sequential->columns());
+    ASSERT_EQ(parallel->row_count(), sequential->row_count());
+    for (size_t r = 0; r < parallel->row_count(); ++r) {
+      for (size_t c = 0; c < cols; ++c) {
+        ASSERT_TRUE(parallel->at(r, c) == sequential->at(r, c))
             << "row " << r << " col " << c << ": "
-            << got->at(r, c).ToNTriples() << " vs "
-            << expected->at(r, c).ToNTriples();
+            << parallel->at(r, c).ToNTriples() << " vs "
+            << sequential->at(r, c).ToNTriples();
       }
     }
   }
 }
 
-TEST(ExecDiffTest, RandomizedQueriesMatchLegacy) {
+TEST(ExecDiffTest, RandomizedQueriesMatchReferenceModel) {
   const DiffData& data = *SharedData();
   ASSERT_GE(data.triples.size(), 1000u);
   Random rng(20260806);
   for (int i = 0; i < 120; ++i) {
-    ExpectDifferentialMatch(GenerateQuery(rng, data));
+    ExpectMatchesReference(GenerateQuery(rng, data));
   }
 }
 
 TEST(ExecDiffTest, RepeatedVariableWithinPattern) {
   GeneratedQuery q;
   q.patterns = "(?x ?p ?x)";
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, SelfJoinAcrossPatterns) {
@@ -272,7 +362,7 @@ TEST(ExecDiffTest, SelfJoinAcrossPatterns) {
   q.patterns =
       "(?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t) "
       "(?s <http://purl.uniprot.org/core/citation> ?c) (?c ?p ?o)";
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, AllConstantPattern) {
@@ -281,13 +371,13 @@ TEST(ExecDiffTest, AllConstantPattern) {
   const SampledTriple& t = data.triples.front();
   GeneratedQuery q;
   q.patterns = "(" + Tok(t.s) + " " + Tok(t.p) + " " + Tok(t.o) + ")";
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, DeadConstantPlan) {
   GeneratedQuery q;
   q.patterns = "(?s <urn:diff:never_inserted> ?o) (?s ?p ?o2)";
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, LimitPrefixIsIdenticalUnderParallelism) {
@@ -296,7 +386,7 @@ TEST(ExecDiffTest, LimitPrefixIsIdenticalUnderParallelism) {
       "(?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
       "<http://purl.uniprot.org/core/Protein>) (?s ?p ?o)";
   q.options.limit = 7;
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, DistinctProjectionUnderParallelism) {
@@ -305,16 +395,44 @@ TEST(ExecDiffTest, DistinctProjectionUnderParallelism) {
       "(?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t) (?s ?p ?o)";
   q.options.projection = {"t", "p"};
   q.options.distinct = true;
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
 }
 
 TEST(ExecDiffTest, FilterWithUnboundVariable) {
-  // ?zzz never occurs in the query: comparisons against it are false on
-  // both executors.
+  // ?zzz never occurs in the query: comparisons against it are false.
   GeneratedQuery q;
   q.patterns = "(?s <http://purl.uniprot.org/core/mnemonic> ?n)";
   q.filter = "?zzz = \"anything\"";
-  ExpectDifferentialMatch(q);
+  ExpectMatchesReference(q);
+}
+
+TEST(ExecDiffTest, ObjectConstantsMatchCanonically) {
+  // Lexically different forms of one value ("01" and "1" as
+  // xsd:integer) are one object for matching and joining; the UniProt
+  // sample has no such pairs, so a dedicated model supplies them.
+  DiffData& data = *SharedData();
+  const char kCanonModel[] = "diff_canon";
+  ASSERT_TRUE(
+      data.store.CreateRdfModel(kCanonModel, "diff_canon_app", "triple")
+          .ok());
+  ASSERT_TRUE(data.reference.CreateModel(kCanonModel).ok());
+  const std::string kInt = "^^<http://www.w3.org/2001/XMLSchema#integer>";
+  const std::string objects[] = {"\"01\"" + kInt, "\"1\"" + kInt,
+                                 "\"2\"" + kInt, "\"1\""};
+  for (int i = 0; i < 8; ++i) {
+    const std::string s = "<urn:c:s" + std::to_string(i % 3) + ">";
+    const std::string& o = objects[i % 4];
+    ASSERT_TRUE(data.store.InsertTriple(kCanonModel, s, "<urn:c:v>", o).ok());
+    ASSERT_TRUE(data.reference.Insert(kCanonModel, s, "<urn:c:v>", o).ok());
+  }
+  for (const std::string& o : objects) {
+    GeneratedQuery q;
+    q.patterns = "(?s <urn:c:v> " + o + ")";
+    ExpectMatchesReference(q, kCanonModel);
+  }
+  GeneratedQuery join;
+  join.patterns = "(?a <urn:c:v> ?x) (?b <urn:c:v> ?x)";
+  ExpectMatchesReference(join, kCanonModel);
 }
 
 // ---- Compressed-scan differentials ---------------------------------------
@@ -323,8 +441,8 @@ TEST(ExecDiffTest, FilterWithUnboundVariable) {
 // deletions as tombstones (see rdf/codec.h, link_store.h). These tests
 // pit that path — posting cursors, SpMap probes, galloping
 // intersections, tombstone filters — against oracles that never touch
-// it: a linear scan of the uncompressed rdf_link$ rows, and the legacy
-// materializing executor.
+// it: a linear scan of the uncompressed rdf_link$ rows, and the
+// reference model.
 
 /// Id-level quad, ordered so result multisets can be compared.
 using IdQuadTuple = std::array<rdf::ValueId, 4>;
@@ -449,16 +567,17 @@ TEST(ExecDiffTest, TombstonedQuadsVanishFromCompressedScans) {
                            std::nullopt, std::nullopt);
 }
 
-TEST(ExecDiffTest, GallopingIntersectionMatchesLegacy) {
+TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
   // Postings sized past the executor's galloping threshold (driven
   // list > 4096 and the longer side > 8x sparser), with partial
-  // overlap so SkipTo actually skips blocks. The legacy materializing
-  // executor is the oracle.
+  // overlap so SkipTo actually skips blocks. The reference model is the
+  // oracle.
   DiffData& data = *SharedData();
   const char kGallopModel[] = "diff_gallop";
   auto created =
       data.store.CreateRdfModel(kGallopModel, "diff_gallop_app", "triple");
   ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ASSERT_TRUE(data.reference.CreateModel(kGallopModel).ok());
 
   // Hub subject s0: 4100 triples to the hub object (distinct
   // predicates) plus 4100 to private objects; the hub also referenced
@@ -485,21 +604,27 @@ TEST(ExecDiffTest, GallopingIntersectionMatchesLegacy) {
   }
   auto loaded = rdf::BulkLoad(&data.store, kGallopModel, triples);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const rdf::NTriple& t : triples) {
+    ASSERT_TRUE(data.reference
+                    .InsertTerms(kGallopModel, t.subject, t.predicate,
+                                 t.object)
+                    .ok());
+  }
 
   // (s, ?, o): PostingsS(s0) drives a gallop over PostingsCanon(hub).
   GeneratedQuery so;
   so.patterns = "(<urn:g:s0> ?p <urn:g:hub>)";
-  ExpectDifferentialMatch(so, kGallopModel);
+  ExpectMatchesReference(so, kGallopModel);
 
   // A miss: same shape against an object s0 never points at.
   GeneratedQuery miss;
   miss.patterns = "(<urn:g:s0> ?p <urn:g:o77>)";
-  ExpectDifferentialMatch(miss, kGallopModel);
+  ExpectMatchesReference(miss, kGallopModel);
 
-  // (The ExpectDifferentialMatch configs above already run the gallop
+  // (The ExpectMatchesReference configs above already run the gallop
   // leaf under every parallel thread/chunk combination; a join through
-  // the hub would explode the legacy oracle's materialized
-  // intermediate — 4100 x 62000 rows — so it is deliberately absent.)
+  // the hub would explode the reference model's nested loops — 4100 x
+  // 62000 rows — so it is deliberately absent.)
 
   // Same shapes at the id level against the table-scan oracle.
   auto model_id = data.store.GetModelId(kGallopModel);

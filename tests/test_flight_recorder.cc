@@ -13,6 +13,7 @@
 #include "obs/crash_dump.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::obs {
 namespace {
@@ -331,8 +332,8 @@ TEST(FlightRecorderDefaults, CoverAtLeastThirtySecondsOfHistory) {
 // ---------------------------------------------------------------------
 
 TEST_F(FlightRecorderTest, BlackBoxMirrorsHistoryAndEvents) {
-  const std::string path =
-      ::testing::TempDir() + "/flight_recorder_bb.bin";
+  test::TestTempDir temp;
+  const std::string path = temp.Path("flight_recorder_bb.bin");
   Gauge* g = registry_.RegisterGauge("test_bb_gauge", "test");
   std::ostringstream sink;
   EventLog::Options log_options;
@@ -348,6 +349,9 @@ TEST_F(FlightRecorderTest, BlackBoxMirrorsHistoryAndEvents) {
   ASSERT_TRUE(recorder.ok());
   ASSERT_NE((*recorder)->black_box(), nullptr);
   g->Set(123);
+  // The black box mirrors the event log's drained tail; drain the
+  // appended event before sampling so the mirror cannot miss it.
+  (*log)->Flush();
   (*recorder)->SampleNow();
   (*recorder)->SampleNow();
 

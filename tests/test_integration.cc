@@ -14,6 +14,7 @@
 #include "rdf/app_table.h"
 #include "rdf/rdf_store.h"
 #include "rdf/vocab.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb {
 namespace {
@@ -219,7 +220,8 @@ TEST_F(UniProtIntegrationTest, NetworkAnalysisOverLoadedData) {
 }
 
 TEST_F(UniProtIntegrationTest, SnapshotRoundTripAtScale) {
-  std::string path = ::testing::TempDir() + "/rdfdb_integration_snap.bin";
+  test::TestTempDir temp;
+  std::string path = temp.Path("integration_snap.bin");
   ASSERT_TRUE(store_->Save(path).ok());
   auto reopened = RdfStore::Open(path);
   ASSERT_TRUE(reopened.ok());

@@ -9,9 +9,9 @@
 #include "obs/metrics_snapshot.h"
 #include "obs/store_metrics.h"
 #include "rdf/bulk_load.h"
-#include "rdf/concurrent_store.h"
 #include "rdf/rdf_store.h"
 #include "rdf/redo_log.h"
+#include "rdf/snapshot_store.h"
 
 namespace rdfdb::obs {
 namespace {
@@ -300,12 +300,19 @@ TEST(StoreMetricsTest, RdfStoreWiresAllHotPaths) {
 }
 
 TEST(StoreMetricsTest, ConcurrentStoreExposesDumps) {
-  rdf::ConcurrentRdfStore store;
+  // The thread-safe store is SnapshotRdfStore: writes through its
+  // writer land in the live store's registry, and both dump formats
+  // render them.
+  rdf::SnapshotRdfStore store;
   ASSERT_TRUE(store.CreateRdfModel("m", "mdata", "triple").ok());
   ASSERT_TRUE(store.InsertTriple("m", "urn:s", "urn:p", "urn:o").ok());
-  EXPECT_NE(store.MetricsText().find("rdfdb_link_inserts_total 1"),
+  const obs::MetricsRegistry& registry = store.metrics_registry();
+  EXPECT_NE(registry.RenderPrometheus().find("rdfdb_link_inserts_total 1"),
             std::string::npos);
-  EXPECT_NE(store.MetricsJson().find("\"rdfdb_link_inserts_total\""),
+  EXPECT_NE(registry.RenderJson().find("\"rdfdb_link_inserts_total\""),
+            std::string::npos);
+  EXPECT_NE(registry.RenderPrometheus().find(
+                "rdfdb_versions_published_total"),
             std::string::npos);
 }
 

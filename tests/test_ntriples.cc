@@ -1,4 +1,5 @@
 #include "rdf/ntriples.h"
+#include "test_temp_dir.h"
 
 #include <gtest/gtest.h>
 
@@ -138,7 +139,8 @@ TEST(NTriplesRoundTripTest, SerializeThenParse) {
 }
 
 TEST(NTriplesFileTest, WriteAndReadBack) {
-  std::string path = ::testing::TempDir() + "/rdfdb_ntriples_test.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("ntriples_test.nt");
   std::vector<NTriple> triples = {
       {Term::Uri("http://a"), Term::Uri("http://p"), Term::Uri("http://b")},
       {Term::Uri("http://a"), Term::Uri("http://q"),

@@ -1,6 +1,7 @@
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
 #include <cctype>
@@ -21,6 +22,23 @@ namespace {
 void BurnCpuUntil(std::chrono::steady_clock::time_point deadline) {
   volatile uint64_t acc = 0;
   while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 4096; ++i) acc = acc + static_cast<uint64_t>(i);
+  }
+}
+
+/// Process CPU time (all threads) in nanoseconds.
+int64_t ProcessCpuNanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+/// Spin until the process has burned `cpu` of CPU time, however long
+/// that takes on the wall clock.
+void BurnProcessCpu(std::chrono::nanoseconds cpu) {
+  const int64_t until = ProcessCpuNanos() + cpu.count();
+  volatile uint64_t acc = 0;
+  while (ProcessCpuNanos() < until) {
     for (int i = 0; i < 4096; ++i) acc = acc + static_cast<uint64_t>(i);
   }
 }
@@ -70,13 +88,12 @@ TEST(ProfilerTest, StartStopLifecycle) {
 TEST(ProfilerTest, CapturesSamplesProportionalToCpuBurned) {
   ResetProfile();
   ASSERT_TRUE(StartProfiler(250));
-  BurnCpuUntil(std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(400));
+  BurnProcessCpu(std::chrono::milliseconds(400));
   StopProfiler();
-  // 250 Hz of process-CPU sampling over ~0.4 s of spinning: expect a
-  // healthy number of samples even on a loaded CI machine. The timer
-  // fires on CPU time, so a starved process just takes longer to exit
-  // the burn loop — the bound stays safe.
+  // 250 Hz of process-CPU sampling over 0.4 s of burned CPU: expect a
+  // healthy number of samples even on a loaded CI machine. Both the
+  // timer and the burn loop run on process CPU time, so a starved
+  // process just takes longer to exit the loop — the bound stays safe.
   EXPECT_GE(ProfilerSampleCount(), 20u);
   const std::string collapsed = CollapsedProfile();
   ExpectWellFormedCollapsed(collapsed);

@@ -6,6 +6,7 @@
 
 #include "rdf/reification.h"
 #include "rdf/vocab.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -114,7 +115,8 @@ TEST_F(QuadLoaderTest, IncompleteQuadDeletedByDefault) {
 }
 
 TEST_F(QuadLoaderTest, IncompleteQuadEmittedToFile) {
-  std::string path = ::testing::TempDir() + "/rdfdb_incomplete.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("incomplete.nt");
   Term r = U("http://ex/partial");
   std::vector<NTriple> input = {
       {r, U(std::string(kRdfType)), U(std::string(kRdfStatement))},
@@ -219,7 +221,8 @@ TEST_F(QuadLoaderTest, MixedQuadAndPlainTriples) {
 }
 
 TEST_F(QuadLoaderTest, LoadFileEndToEnd) {
-  std::string path = ::testing::TempDir() + "/rdfdb_quadload.nt";
+  test::TestTempDir temp;
+  std::string path = temp.Path("quadload.nt");
   Term r = U("http://ex/reif1");
   std::vector<NTriple> input =
       Quad(r, U("http://ex/s"), U("http://ex/p"), U("http://ex/o"));

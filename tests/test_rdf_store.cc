@@ -7,6 +7,7 @@
 #include "ndm/analysis.h"
 #include "rdf/reification.h"
 #include "rdf/vocab.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -273,7 +274,8 @@ TEST_F(RdfStoreTest, SaveAndOpenRoundTrip) {
   ASSERT_TRUE(store_.InsertTriple("cia", "_:b1", "gov:knows", "id:JohnDoe")
                   .ok());
 
-  std::string path = ::testing::TempDir() + "/rdfdb_store_test.bin";
+  test::TestTempDir temp;
+  std::string path = temp.Path("store_test.bin");
   ASSERT_TRUE(store_.Save(path).ok());
   auto reopened = RdfStore::Open(path);
   ASSERT_TRUE(reopened.ok());

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/crc32c.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -13,24 +14,8 @@ namespace {
 class RedoLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    snapshot_path_ = ::testing::TempDir() + "/rdfdb_redo_snap.bin";
-    log_path_ = ::testing::TempDir() + "/rdfdb_redo.log";
-    RemoveStoreFiles();
-  }
-
-  void TearDown() override { RemoveStoreFiles(); }
-
-  // The store roots several files at snapshot_path_ (manifest +
-  // generation snapshots); stale ones leak state across test processes
-  // sharing TempDir.
-  void RemoveStoreFiles() {
-    std::remove(snapshot_path_.c_str());
-    std::remove(log_path_.c_str());
-    std::remove(LoggedRdfStore::ManifestPath(snapshot_path_).c_str());
-    for (uint64_t gen = 1; gen <= 16; ++gen) {
-      std::remove(
-          LoggedRdfStore::GenerationFileName(snapshot_path_, gen).c_str());
-    }
+    snapshot_path_ = temp_.Path("redo_snap.bin");
+    log_path_ = temp_.Path("redo.log");
   }
 
   /// A framing-valid log line (correct CRC) with the given seq and
@@ -41,6 +26,9 @@ class RedoLogTest : public ::testing::Test {
     return std::to_string(seq) + "\t" + crc + "\t" + body + "\n";
   }
 
+  // The store roots several files at snapshot_path_ (manifest +
+  // generation snapshots); all of them live in this case's directory.
+  test::TestTempDir temp_;
   std::string snapshot_path_;
   std::string log_path_;
 };

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "query/exec.h"
 #include "rdf/vocab.h"
 
 namespace rdfdb::query {
@@ -269,26 +270,49 @@ TEST_F(EntailmentTest, EvalPatternsRepeatedVariableMustMatch) {
   EXPECT_EQ(solutions, 1u);  // only the self-loop
 }
 
-TEST(PlanPatternOrderTest, ConstantRichPatternsFirst) {
-  auto patterns = ParsePatterns(
-      "(?x ex:knows ?y) (?x ex:name \"Alice\") (?y ?p ?z)", {});
-  ASSERT_TRUE(patterns.ok());
-  std::vector<size_t> order = PlanPatternOrder(*patterns);
+/// Join order chosen by the compiled executor's planner over the "kb"
+/// model.
+class PlanPatternOrderTest : public EntailmentTest {
+ protected:
+  std::vector<size_t> Order(const std::string& query) {
+    auto patterns = ParsePatterns(query, {});
+    EXPECT_TRUE(patterns.ok());
+    ModelSource base(&store_, {model_});
+    return CompilePatterns(store_, *patterns, nullptr, base,
+                           /*reorder_patterns=*/true, nullptr)
+        .order;
+  }
+};
+
+TEST_F(PlanPatternOrderTest, ConstantRichPatternsFirst) {
+  Add("ex:alice", "ex:name", "\"Alice\"");
+  for (int i = 0; i < 10; ++i) {
+    Add("ex:alice", "ex:knows", "ex:n" + std::to_string(i));
+    Add("ex:n" + std::to_string(i), "ex:name", "\"N\"");
+  }
+  std::vector<size_t> order =
+      Order("(?x ex:knows ?y) (?x ex:name \"Alice\") (?y ?p ?z)");
   ASSERT_EQ(order.size(), 3u);
-  // The (?x ex:name "Alice") pattern has two constants -> runs first.
+  // (?x ex:name "Alice") matches one row -> runs first.
   EXPECT_EQ(order[0], 1u);
   // The fully-variable pattern runs last.
   EXPECT_EQ(order[2], 2u);
 }
 
-TEST(PlanPatternOrderTest, PrefersConnectedPatterns) {
+TEST_F(PlanPatternOrderTest, PrefersConnectedPatterns) {
   // After picking the selective pattern on ?a, the planner must pick
-  // the pattern sharing ?a before the disconnected one on ?c.
-  auto patterns = ParsePatterns(
-      "(?c ex:p ?d) (?a ex:knows ?c) (?a ex:name \"Alice\")", {});
-  ASSERT_TRUE(patterns.ok());
-  std::vector<size_t> order = PlanPatternOrder(*patterns);
-  EXPECT_EQ(order[0], 2u);  // two constants
+  // the pattern sharing ?a before the disconnected one on ?c, even
+  // though the disconnected one matches fewer rows.
+  Add("ex:alice", "ex:name", "\"Alice\"");
+  for (int i = 0; i < 10; ++i) {
+    Add("ex:alice", "ex:knows", "ex:n" + std::to_string(i));
+  }
+  Add("ex:n0", "ex:p", "ex:d0");
+  Add("ex:n1", "ex:p", "ex:d1");
+  std::vector<size_t> order =
+      Order("(?c ex:p ?d) (?a ex:knows ?c) (?a ex:name \"Alice\")");
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], 2u);  // one matching row
   EXPECT_EQ(order[1], 1u);  // shares ?a with the first pick
   EXPECT_EQ(order[2], 0u);  // joined via ?c only after step 2
 }

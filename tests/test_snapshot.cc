@@ -1,4 +1,5 @@
 #include "storage/snapshot.h"
+#include "test_temp_dir.h"
 
 #include <gtest/gtest.h>
 
@@ -109,7 +110,8 @@ TEST(SnapshotTest, RejectsTruncatedStream) {
 }
 
 TEST(SnapshotTest, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/rdfdb_snapshot_test.bin";
+  test::TestTempDir temp;
+  std::string path = temp.Path("snapshot_test.bin");
   Database src;
   Table* table = *src.CreateTable("S", "T", MixedSchema());
   (void)*table->Insert({Value::Int64(3), Value::String("file"),

@@ -4,10 +4,11 @@
 //   1. Functional mirrors — every read on a pinned StoreVersion returns
 //      exactly what the live RdfStore returns (results AND error texts).
 //   2. Randomized differential — a seeded op stream drives the snapshot
-//      store and the locked ConcurrentRdfStore oracle in lockstep;
-//      after every mutation the read APIs (IsTriple / IsReified /
-//      GetTripleId / GetModelStats / SDO_RDF_MATCH) must agree,
-//      which also proves read-your-writes at each publish boundary.
+//      store and the brute-force reference model (reference_model.h) in
+//      lockstep; after every mutation the read APIs (IsTriple /
+//      IsReified / GetTripleId / GetModelStats / SDO_RDF_MATCH) must
+//      agree, which also proves read-your-writes at each publish
+//      boundary.
 //   3. Concurrency — repeatable reads under a held pin, linearizable
 //      visibility across a release/acquire watermark, epoch-based
 //      version reclamation, and a many-reader/one-writer hammer at
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <random>
@@ -25,7 +27,7 @@
 #include <vector>
 
 #include "query/match.h"
-#include "rdf/concurrent_store.h"
+#include "reference_model.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -117,7 +119,7 @@ TEST(SnapshotStoreTest, MatchRunsAgainstPinnedVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential: SnapshotRdfStore vs the locked oracle.
+// Randomized differential: SnapshotRdfStore vs the reference model.
 // ---------------------------------------------------------------------------
 
 struct DiffUniverse {
@@ -134,14 +136,14 @@ DiffUniverse SmallUniverse() {
   return u;
 }
 
-TEST(SnapshotStoreTest, RandomizedDifferentialAgainstLockedOracle) {
+TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
   const DiffUniverse universe = SmallUniverse();
   std::mt19937_64 rng(20260808);
 
   SnapshotRdfStore snapshot_store;
-  ConcurrentRdfStore oracle;
+  test::ReferenceStore reference;
   ASSERT_TRUE(snapshot_store.CreateRdfModel("m", "mdata", "triple").ok());
-  ASSERT_TRUE(oracle.CreateRdfModel("m", "mdata", "triple").ok());
+  ASSERT_TRUE(reference.CreateModel("m").ok());
 
   auto pick = [&](const std::vector<std::string>& pool) -> const std::string& {
     return pool[rng() % pool.size()];
@@ -155,47 +157,54 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstLockedOracle) {
       case 0:
       case 1: {  // insert (weighted up so the store actually grows)
         auto a = snapshot_store.InsertTriple("m", s, p, o);
-        auto b = oracle.InsertTriple("m", s, p, o);
+        auto b = reference.Insert("m", s, p, o);
         ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+        if (a.ok()) {
+          ASSERT_EQ(a->rdf_t_id(), *b) << "step " << step;
+        }
         break;
       }
       case 2: {  // delete
         Status a = snapshot_store.DeleteTriple("m", s, p, o);
-        Status b = oracle.DeleteTriple("m", s, p, o);
+        Status b = reference.Delete("m", s, p, o);
         ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
         break;
       }
       case 3: {  // reify (when the triple exists)
         auto id_a = snapshot_store.GetTripleId("m", s, p, o);
-        auto id_b = oracle.GetTripleId("m", s, p, o);
+        auto id_b = reference.GetTripleId("m", s, p, o);
         ASSERT_EQ(id_a.ok(), id_b.ok()) << "step " << step;
         if (id_a.ok()) {
+          ASSERT_EQ(*id_a, *id_b) << "step " << step;
           auto a = snapshot_store.ReifyTriple("m", *id_a);
-          auto b = oracle.ReifyTriple("m", *id_b);
+          auto b = reference.Reify("m", *id_b);
           ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+          if (a.ok()) {
+            ASSERT_EQ(a->rdf_t_id(), *b) << "step " << step;
+          }
         }
         break;
       }
     }
 
     // Read-your-writes + full agreement after EVERY mutation: probe a
-    // random sample of the universe on both stores.
+    // random sample of the universe on both sides.
     auto snap = snapshot_store.Snapshot();
     for (int probe = 0; probe < 4; ++probe) {
       const std::string& ps = pick(universe.subjects);
       const std::string& pp = pick(universe.predicates);
       const std::string& po = pick(universe.objects);
       auto is_a = snap->IsTriple("m", ps, pp, po);
-      auto is_b = oracle.IsTriple("m", ps, pp, po);
+      auto is_b = reference.IsTriple("m", ps, pp, po);
       ASSERT_TRUE(is_a.ok() && is_b.ok());
       ASSERT_EQ(*is_a, *is_b) << "step " << step << " IsTriple(" << ps
                               << "," << pp << "," << po << ")";
       auto reif_a = snap->IsReified("m", ps, pp, po);
-      auto reif_b = oracle.IsReified("m", ps, pp, po);
+      auto reif_b = reference.IsReified("m", ps, pp, po);
       ASSERT_TRUE(reif_a.ok() && reif_b.ok());
       ASSERT_EQ(*reif_a, *reif_b) << "step " << step;
       auto id_a = snap->GetTripleId("m", ps, pp, po);
-      auto id_b = oracle.GetTripleId("m", ps, pp, po);
+      auto id_b = reference.GetTripleId("m", ps, pp, po);
       ASSERT_EQ(id_a.ok(), id_b.ok()) << "step " << step;
       if (id_a.ok()) {
         ASSERT_EQ(*id_a, *id_b) << "step " << step;
@@ -204,7 +213,7 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstLockedOracle) {
 
     if (step % 25 == 0) {
       auto stats_a = snap->GetModelStats("m");
-      auto stats_b = oracle.GetModelStats("m");
+      auto stats_b = reference.GetModelStats("m");
       ASSERT_TRUE(stats_a.ok() && stats_b.ok());
       EXPECT_EQ(stats_a->triples, stats_b->triples) << "step " << step;
       EXPECT_EQ(stats_a->reified_statements, stats_b->reified_statements);
@@ -213,18 +222,25 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstLockedOracle) {
       EXPECT_EQ(stats_a->distinct_objects, stats_b->distinct_objects);
 
       // Full SDO_RDF_MATCH differential: the snapshot path (compiled
-      // executor over the pinned leaf scan) vs the locked store.
-      const std::string query = "(?s " + universe.predicates[0] + " ?o)";
-      auto rows_a = query::SdoRdfMatch(snap.view(), query, {"m"}, {}, "");
-      auto rows_b = oracle.WithWriteLock([&](RdfStore& live) {
-        return query::SdoRdfMatch(&live, nullptr, query, {"m"}, {}, {}, "");
-      });
+      // executor over the pinned leaf scan) vs the model's answer, as
+      // multisets of (s, o) rows.
+      test::RefQuery query;
+      query.patterns = "(?s " + universe.predicates[0] + " ?o)";
+      auto rows_a =
+          query::SdoRdfMatch(snap.view(), query.patterns, {"m"}, {}, "");
+      auto rows_b = reference.Match(query, {"m"});
       ASSERT_TRUE(rows_a.ok() && rows_b.ok());
-      ASSERT_EQ(rows_a->row_count(), rows_b->row_count()) << "step " << step;
+      std::vector<std::string> got, want;
       for (size_t r = 0; r < rows_a->row_count(); ++r) {
-        EXPECT_EQ(rows_a->Get(r, "s"), rows_b->Get(r, "s"));
-        EXPECT_EQ(rows_a->Get(r, "o"), rows_b->Get(r, "o"));
+        got.push_back(rows_a->Get(r, "s") + " " + rows_a->Get(r, "o"));
       }
+      for (const auto& row : rows_b->rows) {
+        want.push_back(row[0].ToDisplayString() + " " +
+                       row[1].ToDisplayString());
+      }
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << "step " << step;
     }
   }
 }
@@ -383,6 +399,10 @@ void HammerReadersOneWriter(int reader_threads) {
   auto stats = store.GetModelStats("m");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->triples, 1u + 1u + 400u - 134u);
+  // The live store's tables, NDM network and quad caches still agree.
+  Status consistent =
+      store.Apply([](RdfStore& live) { return live.CheckConsistency(); });
+  EXPECT_TRUE(consistent.ok()) << consistent.ToString();
 
   // Every pin is released; one more publish sweeps the retire list dry.
   ASSERT_TRUE(store.InsertTriple("m", "gov:fin", "gov:p", "gov:o").ok());

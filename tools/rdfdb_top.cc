@@ -1,31 +1,26 @@
 // rdfdb_top: a `top`-style live view of one store's instrument rates.
 //
 //   rdfdb_top [--interval <sec>] [--ticks <n>] [--mem] [--history]
-//             [--readers <n>] [--writer bulkload] [--triples <m>]
+//             [--readers <n>] [--triples <m>]
 //
-// Default mode runs an in-process workload over a ConcurrentRdfStore —
-// one writer inserting triples, one reader issuing SDO_RDF_MATCH — and
-// prints one line per interval from metrics-registry snapshot deltas:
-// insert, intern, and match rates plus per-interval query latency
-// quantiles. --ticks bounds the run (default 10; 0 = until
-// interrupted).
-//
-// `--writer bulkload` switches to the snapshot-store workload: a writer
+// Runs an in-process workload over a SnapshotRdfStore: a writer
 // bulk-loads --triples statements (default 1 M) chunk by chunk through
 // SnapshotRdfStore::Apply (one published version per chunk) while
 // --readers threads (default 8) run SDO_RDF_MATCH against pinned
-// snapshots, lock-free. Each tick additionally reports version-publish
-// and epoch-reclamation gauges; the run ends when the load finishes (or
-// at --ticks). The per-interval q_p50/q_p95/q_p99 columns then show
-// reader latency DURING the load — the number the global rwlock design
-// could not keep flat.
+// snapshots, lock-free. It prints one line per interval from
+// metrics-registry snapshot deltas: insert and match rates,
+// per-interval reader latency quantiles (q_p50/q_p95/q_p99, measured
+// DURING the load), and the version-publish and epoch-reclamation
+// gauges. The run ends when the load finishes or after --ticks
+// intervals (default 10; 0 = until the load finishes or the process is
+// interrupted).
 //
-// --mem appends resource columns to either mode: heap_mb (live tracked
-// heap), store_mb (sum of the store-owned rdfdb_mem_* gauges,
-// refreshed per tick via UpdateMemoryGauges), B/trip (store_mb's bytes
-// over the live triple count — the compression headline, comparable
-// directly to bench_memory_footprint) and cpu% (process CPU over the
-// interval, all threads; can exceed 100 on multi-core).
+// --mem appends resource columns: heap_mb (live tracked heap), store_mb
+// (sum of the store-owned rdfdb_mem_* gauges, refreshed per tick via
+// UpdateMemoryGauges), B/trip (store_mb's bytes over the live triple
+// count — the compression headline, comparable directly to
+// bench_memory_footprint) and cpu% (process CPU over the interval, all
+// threads; can exceed 100 on multi-core).
 //
 // --history attaches a flight recorder sampling at the tick interval
 // and, after the run, prints one sparkline per recorded series — the
@@ -52,7 +47,6 @@
 #include "obs/resource_tracker.h"
 #include "query/match.h"
 #include "rdf/bulk_load.h"
-#include "rdf/concurrent_store.h"
 #include "rdf/ntriples.h"
 #include "rdf/snapshot_store.h"
 
@@ -62,9 +56,8 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-int RunDefaultMode(double interval, int ticks, bool mem, bool history);
-int RunBulkloadMode(double interval, int ticks, int readers, size_t triples,
-                    bool mem, bool history);
+int RunWorkload(double interval, int ticks, int readers, size_t triples,
+                bool mem, bool history);
 
 /// Flight recorder for --history: samples the registry at the tick
 /// interval so the post-run sparklines line up with the printed rows.
@@ -151,7 +144,6 @@ int main(int argc, char** argv) {
   size_t triples = 1000000;
   bool mem = false;
   bool history = false;
-  std::string writer_mode;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
       interval = std::atof(argv[++i]);
@@ -159,8 +151,6 @@ int main(int argc, char** argv) {
       ticks = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--readers") == 0 && i + 1 < argc) {
       readers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--writer") == 0 && i + 1 < argc) {
-      writer_mode = argv[++i];
     } else if (std::strcmp(argv[i], "--triples") == 0 && i + 1 < argc) {
       triples = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--mem") == 0) {
@@ -170,8 +160,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: rdfdb_top [--interval <sec>] [--ticks <n>]\n"
-                   "                 [--readers <n>] [--writer bulkload]\n"
-                   "                 [--triples <m>] [--mem] [--history]\n");
+                   "                 [--readers <n>] [--triples <m>]\n"
+                   "                 [--mem] [--history]\n");
       return 2;
     }
   }
@@ -181,129 +171,13 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  if (writer_mode.empty()) {
-    return RunDefaultMode(interval, ticks, mem, history);
-  }
-  if (writer_mode == "bulkload") {
-    return RunBulkloadMode(interval, ticks, readers, triples, mem, history);
-  }
-  std::fprintf(stderr, "unknown --writer mode '%s' (expected: bulkload)\n",
-               writer_mode.c_str());
-  return 2;
+  return RunWorkload(interval, ticks, readers, triples, mem, history);
 }
 
 namespace {
 
-int RunDefaultMode(double interval, int ticks, bool mem, bool history) {
-  rdfdb::rdf::ConcurrentRdfStore store;
-  auto created = store.CreateRdfModel("top", "top_app", "triple");
-  if (!created.ok()) {
-    std::fprintf(stderr, "create model: %s\n",
-                 created.status().ToString().c_str());
-    return 1;
-  }
-  std::unique_ptr<rdfdb::obs::FlightRecorder> recorder;
-  if (history) {
-    recorder = StartHistoryRecorder(&store.metrics_registry(), interval);
-  }
-
-  // Writer: a stream of fresh triples (every subject also gets a type
-  // triple so queries have shape to join on).
-  std::thread writer([&] {
-    uint64_t n = 0;
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      const std::string subject = "<urn:s" + std::to_string(n) + ">";
-      auto inserted = store.InsertTriple(
-          "top", subject, "<urn:p" + std::to_string(n % 7) + ">",
-          "\"v" + std::to_string(n) + "\"");
-      if (!inserted.ok()) break;
-      inserted = store.InsertTriple(
-          "top", subject, "<rdf:type>",
-          "<urn:class" + std::to_string(n % 3) + ">");
-      if (!inserted.ok()) break;
-      ++n;
-    }
-  });
-
-  // Reader: repeated matches under the shared lock.
-  std::thread reader([&] {
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      auto result = store.WithReadLock([](const rdfdb::rdf::RdfStore& s) {
-        rdfdb::query::MatchOptions options;
-        options.limit = 128;
-        return rdfdb::query::SdoRdfMatch(
-            const_cast<rdfdb::rdf::RdfStore*>(&s), nullptr,
-            "(?s <rdf:type> ?c)", {"top"}, {}, {}, "", options);
-      });
-      if (!result.ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  });
-
-  std::printf("%8s %10s %10s %10s %10s %9s %9s %9s", "links", "insert/s",
-              "intern/s", "match/s", "rows/s", "q_p50_us", "q_p95_us",
-              "q_p99_us");
-  if (mem) {
-    std::printf(" %8s %8s %7s %6s", "heap_mb", "store_mb", "B/trip", "cpu%");
-  }
-  std::printf("\n");
-  rdfdb::obs::MetricsSnapshot prev =
-      rdfdb::obs::TakeMetricsSnapshot(store.metrics_registry());
-  int64_t prev_cpu = ProcessCpuNanos();
-  for (int tick = 0; (ticks == 0 || tick < ticks) &&
-                     !g_stop.load(std::memory_order_relaxed);
-       ++tick) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval));
-    size_t live_triples = 0;
-    if (mem) {
-      // Refresh the mem_* gauges (and grab the live triple count) under
-      // the same lock the writer mutates under, then snapshot.
-      live_triples = store.WithReadLock([](const rdfdb::rdf::RdfStore& s) {
-        s.UpdateMemoryGauges();
-        return s.links().TotalTripleCount();
-      });
-    }
-    rdfdb::obs::MetricsSnapshot cur =
-        rdfdb::obs::TakeMetricsSnapshot(store.metrics_registry());
-    std::printf(
-        "%8lld %10.0f %10.0f %10.0f %10.0f %9.0f %9.0f %9.0f",
-        static_cast<long long>(cur.Counter("rdfdb_link_inserts_total")),
-        rdfdb::obs::CounterRate(prev, cur, "rdfdb_link_inserts_total"),
-        rdfdb::obs::CounterRate(prev, cur, "rdfdb_value_inserts_total"),
-        rdfdb::obs::CounterRate(prev, cur, "rdfdb_query_total"),
-        rdfdb::obs::CounterRate(prev, cur, "rdfdb_query_rows_total"),
-        rdfdb::obs::IntervalQuantile(prev, cur, "rdfdb_query_ns", 0.50) /
-            1e3,
-        rdfdb::obs::IntervalQuantile(prev, cur, "rdfdb_query_ns", 0.95) /
-            1e3,
-        rdfdb::obs::IntervalQuantile(prev, cur, "rdfdb_query_ns", 0.99) /
-            1e3);
-    if (mem) {
-      const double store_bytes = StoreGaugeBytes(cur);
-      const int64_t cpu = ProcessCpuNanos();
-      std::printf(" %8.1f %8.1f %7.0f %6.0f",
-                  static_cast<double>(rdfdb::obs::TrackedHeapBytes()) / 1e6,
-                  store_bytes / 1e6,
-                  live_triples == 0
-                      ? 0.0
-                      : store_bytes / static_cast<double>(live_triples),
-                  static_cast<double>(cpu - prev_cpu) / 1e7 / interval);
-      prev_cpu = cpu;
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-    prev = std::move(cur);
-  }
-
-  g_stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  reader.join();
-  if (recorder != nullptr) PrintHistorySparklines(*recorder);
-  return 0;
-}
-
-int RunBulkloadMode(double interval, int ticks, int readers,
-                    size_t triples, bool mem, bool history) {
+int RunWorkload(double interval, int ticks, int readers, size_t triples,
+                bool mem, bool history) {
   rdfdb::rdf::SnapshotRdfStore store;
   // Seed model: the readers' query target, loaded before the clock
   // starts so every match has rows.

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # ThreadSanitizer job for the concurrency-sensitive targets: the
-# pipelined bulk loader, the concurrent store wrapper, the snapshot
-# store (epoch-pinned lock-free readers vs the publishing writer,
-# hammered at several reader counts), the metrics instruments
-# (relaxed-atomic counters hammered from many threads while the
-# registry renders), the parallel join executor's differential
-# tests (which exercise the chunked worker/consumer pipeline — and the
-# compressed posting-cursor / galloping leaf scans — at several thread
-# counts), and the codec round-trip/fuzz tests (snapshot readers decode
-# posting blocks and front-coded packs concurrently with the writer,
-# so the decoders themselves belong in this job too). Builds a
-# dedicated build-tsan tree (so a normal
-# build/ is left untouched) and runs the test binaries directly; any
-# TSan report fails the run.
+# pipelined bulk loader, the snapshot store (epoch-pinned lock-free
+# readers vs the publishing writer, hammered at several reader counts),
+# the metrics instruments (relaxed-atomic counters hammered from many
+# threads while the registry renders), the parallel join executor's
+# differential tests (which exercise the chunked worker/consumer
+# pipeline — and the compressed posting-cursor / galloping leaf scans —
+# at several thread counts), and the codec round-trip/fuzz tests
+# (snapshot readers decode posting blocks and front-coded packs
+# concurrently with the writer, so the decoders themselves belong in
+# this job too). Builds a dedicated build-tsan tree (so a normal build/
+# is left untouched) and runs the test binaries directly; any TSan
+# report fails the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,7 +22,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRDFDB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target test_bulk_load test_concurrent_store test_snapshot_store \
+  --target test_bulk_load test_snapshot_store \
   test_metrics test_codec \
   test_exec_diff test_event_log test_span_timeline test_slow_query_log \
   test_resource_tracker test_profiler test_memory_accounting \
@@ -31,7 +30,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_bulk_load
-"$BUILD_DIR"/tests/test_concurrent_store
 "$BUILD_DIR"/tests/test_snapshot_store
 "$BUILD_DIR"/tests/test_metrics
 "$BUILD_DIR"/tests/test_codec
