@@ -38,7 +38,11 @@ int main() {
 
   // -- create rulebase ---------------------------------------------------
   InferenceEngine engine(&store);
-  if (!engine.CreateRulebase("intel_rb").ok()) return 1;
+  rdfdb::Status created = engine.CreateRulebase("intel_rb");
+  if (!created.ok()) {
+    std::fprintf(stderr, "rulebase: %s\n", created.ToString().c_str());
+    return 1;
+  }
 
   // -- insert rule into rulebase ------------------------------------------
   Rule rule;
@@ -46,7 +50,11 @@ int main() {
   rule.antecedent = "(?x gov:terrorAction \"bombing\")";
   rule.consequent = "(gov:files gov:terrorSuspect ?x)";
   rule.aliases = scenario->aliases;
-  if (!engine.InsertRule("intel_rb", rule).ok()) return 1;
+  rdfdb::Status inserted = engine.InsertRule("intel_rb", rule);
+  if (!inserted.ok()) {
+    std::fprintf(stderr, "rule: %s\n", inserted.ToString().c_str());
+    return 1;
+  }
   std::printf("rulebase intel_rb: anyone who performs 'bombing' is a "
               "terror suspect\n");
 
@@ -78,6 +86,10 @@ int main() {
   std::printf("------------------     --------------------\n");
   const rdfdb::storage::Index* addr_index =
       scenario->address_table->GetIndex("addr_name_idx");
+  if (addr_index == nullptr) {
+    std::fprintf(stderr, "ic.address has no addr_name_idx\n");
+    return 1;
+  }
   std::set<std::string> printed;
   for (size_t i = 0; i < result->row_count(); ++i) {
     std::string name = result->Get(i, "name");

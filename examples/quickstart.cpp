@@ -60,7 +60,11 @@ int main() {
                    triple.status().ToString().c_str());
       return 1;
     }
-    if (!table->Insert(row.id, *triple).ok()) return 1;
+    rdfdb::Status inserted = table->Insert(row.id, *triple);
+    if (!inserted.ok()) {
+      std::fprintf(stderr, "app insert: %s\n", inserted.ToString().c_str());
+      return 1;
+    }
     std::printf("row %lld -> SDO_RDF_TRIPLE_S(%lld, %lld, %lld, %lld, %lld)\n",
                 static_cast<long long>(row.id),
                 static_cast<long long>(triple->rdf_t_id()),
@@ -72,13 +76,22 @@ int main() {
 
   // Query with the member functions (§6) through a function-based
   // index (§7.2).
-  if (!table->CreateSubjectIndex().ok()) return 1;
+  rdfdb::Status indexed = table->CreateSubjectIndex();
+  if (!indexed.ok()) {
+    std::fprintf(stderr, "subject index: %s\n", indexed.ToString().c_str());
+    return 1;
+  }
   std::printf("\nSELECT triple.GET_TRIPLE() WHERE GET_SUBJECT() = "
               "gov:files\n");
   for (const SdoRdfTripleS& triple :
        table->FindBySubject("http://www.us.gov#files")) {
     auto full = triple.GetTriple();
-    if (full.ok()) std::printf("  %s\n", full->ToString().c_str());
+    if (!full.ok()) {
+      std::fprintf(stderr, "GET_TRIPLE: %s\n",
+                   full.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("  %s\n", full->ToString().c_str());
   }
 
   // IS_TRIPLE / IS_REIFIED round out the SDO_RDF package surface.
@@ -86,8 +99,13 @@ int main() {
       store.IsTriple("cia", "http://www.us.gov#files",
                      "http://www.us.gov#terrorSuspect",
                      "http://www.us.id#JohnDoe");
+  if (!is_triple.ok()) {
+    std::fprintf(stderr, "IS_TRIPLE: %s\n",
+                 is_triple.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\nIS_TRIPLE(files, terrorSuspect, JohnDoe) = %s\n",
-              is_triple.ok() && *is_triple ? "TRUE" : "FALSE");
+              *is_triple ? "TRUE" : "FALSE");
 
   std::printf("central schema now holds %zu triples over %zu values\n",
               store.links().TotalTripleCount(),

@@ -14,20 +14,11 @@ namespace {
 /// (neighbor node, via link, link cost) triples adjacent to `node` in the
 /// requested direction.
 void ForEachNeighbor(
-    const LogicalNetwork& net, NodeId node, Direction direction,
+    const Network& net, NodeId node, Direction direction,
     const std::function<void(NodeId, LinkId, double)>& fn) {
-  if (direction == Direction::kOutgoing || direction == Direction::kBoth) {
-    for (LinkId lid : net.OutLinks(node)) {
-      const Link* link = net.GetLink(lid);
-      fn(link->end, lid, link->cost);
-    }
-  }
-  if (direction == Direction::kIncoming || direction == Direction::kBoth) {
-    for (LinkId lid : net.InLinks(node)) {
-      const Link* link = net.GetLink(lid);
-      fn(link->start, lid, link->cost);
-    }
-  }
+  net.ForEachLink(node, direction, [&](const Link& link) {
+    fn(link.start == node ? link.end : link.start, link.id, link.cost);
+  });
 }
 
 struct DijkstraState {
@@ -38,7 +29,7 @@ struct DijkstraState {
 
 /// Run Dijkstra from `source`; stops early when `target` is settled (pass
 /// nullptr to explore everything up to `max_cost`).
-DijkstraState RunDijkstra(const LogicalNetwork& net, NodeId source,
+DijkstraState RunDijkstra(const Network& net, NodeId source,
                           const NodeId* target, double max_cost,
                           Direction direction) {
   DijkstraState state;
@@ -91,7 +82,7 @@ PathResult ExtractPath(const DijkstraState& state, NodeId source,
 
 }  // namespace
 
-PathResult ShortestPath(const LogicalNetwork& net, NodeId source,
+PathResult ShortestPath(const Network& net, NodeId source,
                         NodeId target, Direction direction) {
   if (!net.HasNode(source) || !net.HasNode(target)) return {};
   DijkstraState state =
@@ -100,7 +91,7 @@ PathResult ShortestPath(const LogicalNetwork& net, NodeId source,
   return ExtractPath(state, source, target);
 }
 
-PathResult ShortestPathByHops(const LogicalNetwork& net, NodeId source,
+PathResult ShortestPathByHops(const Network& net, NodeId source,
                               NodeId target, Direction direction) {
   PathResult result;
   if (!net.HasNode(source) || !net.HasNode(target)) return result;
@@ -141,7 +132,7 @@ PathResult ShortestPathByHops(const LogicalNetwork& net, NodeId source,
   return result;
 }
 
-std::unordered_map<NodeId, double> WithinCost(const LogicalNetwork& net,
+std::unordered_map<NodeId, double> WithinCost(const Network& net,
                                               NodeId source, double max_cost,
                                               Direction direction) {
   DijkstraState state =
@@ -150,7 +141,7 @@ std::unordered_map<NodeId, double> WithinCost(const LogicalNetwork& net,
 }
 
 std::vector<std::pair<NodeId, double>> NearestNeighbors(
-    const LogicalNetwork& net, NodeId source, size_t k,
+    const Network& net, NodeId source, size_t k,
     Direction direction) {
   DijkstraState state =
       RunDijkstra(net, source, nullptr,
@@ -168,7 +159,7 @@ std::vector<std::pair<NodeId, double>> NearestNeighbors(
   return out;
 }
 
-bool Reachable(const LogicalNetwork& net, NodeId source, NodeId target,
+bool Reachable(const Network& net, NodeId source, NodeId target,
                Direction direction) {
   if (!net.HasNode(source) || !net.HasNode(target)) return false;
   if (source == target) return true;
@@ -192,12 +183,11 @@ bool Reachable(const LogicalNetwork& net, NodeId source, NodeId target,
   return false;
 }
 
-std::unordered_map<NodeId, int> ConnectedComponents(
-    const LogicalNetwork& net) {
+std::unordered_map<NodeId, int> ConnectedComponents(const Network& net) {
   std::unordered_map<NodeId, int> component;
   int next_id = 0;
-  for (NodeId start : net.Nodes()) {
-    if (component.count(start)) continue;
+  net.ForEachNode([&](NodeId start) {
+    if (component.count(start)) return;
     int id = next_id++;
     std::deque<NodeId> frontier{start};
     component[start] = id;
@@ -211,23 +201,27 @@ std::unordered_map<NodeId, int> ConnectedComponents(
                         frontier.push_back(v);
                       });
     }
-  }
+  });
   return component;
 }
 
-size_t ConnectedComponentCount(const LogicalNetwork& net) {
+size_t ConnectedComponentCount(const Network& net) {
   auto component = ConnectedComponents(net);
   int max_id = -1;
   for (const auto& [node, id] : component) max_id = std::max(max_id, id);
   return static_cast<size_t>(max_id + 1);
 }
 
-std::vector<LinkId> MinimumCostSpanningForest(const LogicalNetwork& net) {
-  std::vector<LinkId> chosen;
+namespace {
+
+/// Prim per component over the undirected view: each chosen link with
+/// its cost.
+std::vector<std::pair<LinkId, double>> SpanningForest(const Network& net) {
+  std::vector<std::pair<LinkId, double>> chosen;
   std::unordered_set<NodeId> in_tree;
   using Entry = std::pair<double, std::pair<LinkId, NodeId>>;
-  for (NodeId root : net.Nodes()) {
-    if (in_tree.count(root)) continue;
+  net.ForEachNode([&](NodeId root) {
+    if (in_tree.count(root)) return;
     in_tree.insert(root);
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
     auto push_edges = [&](NodeId u) {
@@ -245,40 +239,45 @@ std::vector<LinkId> MinimumCostSpanningForest(const LogicalNetwork& net) {
       auto [lid, v] = entry;
       if (in_tree.count(v)) continue;
       in_tree.insert(v);
-      chosen.push_back(lid);
+      chosen.emplace_back(lid, w);
       push_edges(v);
     }
-  }
+  });
   return chosen;
 }
 
-double SpanningForestCost(const LogicalNetwork& net) {
+}  // namespace
+
+std::vector<LinkId> MinimumCostSpanningForest(const Network& net) {
+  std::vector<LinkId> links;
+  for (const auto& [lid, cost] : SpanningForest(net)) links.push_back(lid);
+  return links;
+}
+
+double SpanningForestCost(const Network& net) {
   double total = 0.0;
-  for (LinkId lid : MinimumCostSpanningForest(net)) {
-    total += net.GetLink(lid)->cost;
-  }
+  for (const auto& [lid, cost] : SpanningForest(net)) total += cost;
   return total;
 }
 
-LogicalNetwork ExtractSubnetwork(const LogicalNetwork& net,
+LogicalNetwork ExtractSubnetwork(const Network& net,
                                  const std::vector<NodeId>& nodes) {
-  LogicalNetwork sub(net.name() + "_sub");
+  LogicalNetwork sub;
   std::unordered_set<NodeId> keep(nodes.begin(), nodes.end());
   for (NodeId node : nodes) {
     if (net.HasNode(node)) sub.AddNode(node);
   }
   for (NodeId node : nodes) {
-    for (LinkId lid : net.OutLinks(node)) {
-      const Link* link = net.GetLink(lid);
-      if (keep.count(link->end) > 0 && !sub.HasLink(lid)) {
-        (void)sub.AddLink(*link);
+    net.ForEachLink(node, Direction::kOutgoing, [&](const Link& link) {
+      if (keep.count(link.end) > 0 && !sub.HasLink(link.id)) {
+        (void)sub.AddLink(link);
       }
-    }
+    });
   }
   return sub;
 }
 
-LogicalNetwork NeighborhoodSubnetwork(const LogicalNetwork& net,
+LogicalNetwork NeighborhoodSubnetwork(const Network& net,
                                       NodeId source, double max_cost,
                                       Direction direction) {
   auto costs = WithinCost(net, source, max_cost, direction);
@@ -288,7 +287,7 @@ LogicalNetwork NeighborhoodSubnetwork(const LogicalNetwork& net,
   return ExtractSubnetwork(net, nodes);
 }
 
-std::vector<NodeId> BreadthFirstOrder(const LogicalNetwork& net,
+std::vector<NodeId> BreadthFirstOrder(const Network& net,
                                       NodeId source, Direction direction) {
   std::vector<NodeId> order;
   if (!net.HasNode(source)) return order;

@@ -2,8 +2,8 @@
 //
 // These are the analyses Oracle's Network Data Model exposes; the paper's
 // point is that, because RDF triples *are* NDM links, "all the NDM
-// functionality is exposed to RDF data". The RDF layer hands its logical
-// network to these functions directly.
+// functionality is exposed to RDF data". The functions read the Network
+// interface, so they run directly over the RDF store's own tables.
 
 #ifndef RDFDB_NDM_ANALYSIS_H_
 #define RDFDB_NDM_ANALYSIS_H_
@@ -23,56 +23,48 @@ struct PathResult {
   std::vector<LinkId> links;  ///< links taken, size == nodes.size()-1
 };
 
-/// Traversal direction for searches over a directed network.
-enum class Direction {
-  kOutgoing,   ///< follow links start -> end
-  kIncoming,   ///< follow links end -> start
-  kBoth,       ///< treat links as undirected
-};
-
 /// Dijkstra shortest path by link cost. Costs must be non-negative.
-PathResult ShortestPath(const LogicalNetwork& net, NodeId source,
+PathResult ShortestPath(const Network& net, NodeId source,
                         NodeId target,
                         Direction direction = Direction::kOutgoing);
 
 /// Minimum-hop path (BFS, ignores costs).
-PathResult ShortestPathByHops(const LogicalNetwork& net, NodeId source,
+PathResult ShortestPathByHops(const Network& net, NodeId source,
                               NodeId target,
                               Direction direction = Direction::kOutgoing);
 
 /// All nodes reachable within `max_cost` of `source`, with their costs
 /// (includes `source` at cost 0).
 std::unordered_map<NodeId, double> WithinCost(
-    const LogicalNetwork& net, NodeId source, double max_cost,
+    const Network& net, NodeId source, double max_cost,
     Direction direction = Direction::kOutgoing);
 
 /// The `k` nearest nodes to `source` by path cost, ascending (excludes
 /// `source` itself).
 std::vector<std::pair<NodeId, double>> NearestNeighbors(
-    const LogicalNetwork& net, NodeId source, size_t k,
+    const Network& net, NodeId source, size_t k,
     Direction direction = Direction::kOutgoing);
 
 /// True if `target` is reachable from `source`.
-bool Reachable(const LogicalNetwork& net, NodeId source, NodeId target,
+bool Reachable(const Network& net, NodeId source, NodeId target,
                Direction direction = Direction::kOutgoing);
 
 /// Weakly-connected components: component id per node (ids are dense,
 /// starting at 0). Nodes in the same component share an id.
-std::unordered_map<NodeId, int> ConnectedComponents(
-    const LogicalNetwork& net);
+std::unordered_map<NodeId, int> ConnectedComponents(const Network& net);
 
 /// Number of weakly-connected components.
-size_t ConnectedComponentCount(const LogicalNetwork& net);
+size_t ConnectedComponentCount(const Network& net);
 
 /// Minimum-cost spanning forest over the undirected view (Prim per
 /// component). Returns chosen link ids.
-std::vector<LinkId> MinimumCostSpanningForest(const LogicalNetwork& net);
+std::vector<LinkId> MinimumCostSpanningForest(const Network& net);
 
 /// Sum of costs of the links returned by MinimumCostSpanningForest.
-double SpanningForestCost(const LogicalNetwork& net);
+double SpanningForestCost(const Network& net);
 
 /// Nodes in BFS order from `source`.
-std::vector<NodeId> BreadthFirstOrder(const LogicalNetwork& net,
+std::vector<NodeId> BreadthFirstOrder(const Network& net,
                                       NodeId source,
                                       Direction direction =
                                           Direction::kOutgoing);
@@ -80,12 +72,12 @@ std::vector<NodeId> BreadthFirstOrder(const LogicalNetwork& net,
 /// Extract the induced subnetwork over `nodes`: all listed nodes plus
 /// every link with both endpoints in the set. (NDM's sub-network
 /// extraction for focused analysis.)
-LogicalNetwork ExtractSubnetwork(const LogicalNetwork& net,
+LogicalNetwork ExtractSubnetwork(const Network& net,
                                  const std::vector<NodeId>& nodes);
 
 /// The neighbourhood subnetwork within `max_cost` of `source`
 /// (convenience: WithinCost + ExtractSubnetwork).
-LogicalNetwork NeighborhoodSubnetwork(const LogicalNetwork& net,
+LogicalNetwork NeighborhoodSubnetwork(const Network& net,
                                       NodeId source, double max_cost,
                                       Direction direction =
                                           Direction::kBoth);

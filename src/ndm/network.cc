@@ -1,17 +1,6 @@
 #include "ndm/network.h"
 
-#include <algorithm>
-
 namespace rdfdb::ndm {
-
-namespace {
-const std::vector<LinkId>& EmptyLinks() {
-  static const std::vector<LinkId> kEmpty;
-  return kEmpty;
-}
-}  // namespace
-
-LogicalNetwork::LogicalNetwork(std::string name) : name_(std::move(name)) {}
 
 void LogicalNetwork::AddNode(NodeId node) { nodes_.try_emplace(node); }
 
@@ -19,48 +8,10 @@ Status LogicalNetwork::AddLink(const Link& link) {
   if (links_.count(link.id) > 0) {
     return Status::AlreadyExists("link " + std::to_string(link.id));
   }
-  AddNode(link.start);
-  AddNode(link.end);
   links_.emplace(link.id, link);
   nodes_[link.start].out.push_back(link.id);
   nodes_[link.end].in.push_back(link.id);
   return Status::OK();
-}
-
-void LogicalNetwork::ReserveAdditional(size_t extra_nodes,
-                                       size_t extra_links) {
-  nodes_.reserve(nodes_.size() + extra_nodes);
-  links_.reserve(links_.size() + extra_links);
-}
-
-Status LogicalNetwork::AddLinksBulk(const std::vector<Link>& links) {
-  ReserveAdditional(2 * links.size(), links.size());
-  for (const Link& link : links) {
-    RDFDB_RETURN_NOT_OK(AddLink(link));
-  }
-  return Status::OK();
-}
-
-Status LogicalNetwork::RemoveLink(LinkId link) {
-  auto it = links_.find(link);
-  if (it == links_.end()) {
-    return Status::NotFound("link " + std::to_string(link));
-  }
-  const Link& rec = it->second;
-  auto& out = nodes_[rec.start].out;
-  out.erase(std::find(out.begin(), out.end(), link));
-  auto& in = nodes_[rec.end].in;
-  in.erase(std::find(in.begin(), in.end(), link));
-  links_.erase(it);
-  return Status::OK();
-}
-
-bool LogicalNetwork::RemoveNodeIfIsolated(NodeId node) {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) return false;
-  if (!it->second.out.empty() || !it->second.in.empty()) return false;
-  nodes_.erase(it);
-  return true;
 }
 
 bool LogicalNetwork::HasNode(NodeId node) const {
@@ -76,48 +27,6 @@ const Link* LogicalNetwork::GetLink(LinkId link) const {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-size_t LogicalNetwork::OutDegree(NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? 0 : it->second.out.size();
-}
-
-size_t LogicalNetwork::InDegree(NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? 0 : it->second.in.size();
-}
-
-const std::vector<LinkId>& LogicalNetwork::OutLinks(NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? EmptyLinks() : it->second.out;
-}
-
-const std::vector<LinkId>& LogicalNetwork::InLinks(NodeId node) const {
-  auto it = nodes_.find(node);
-  return it == nodes_.end() ? EmptyLinks() : it->second.in;
-}
-
-std::vector<NodeId> LogicalNetwork::Successors(NodeId node) const {
-  std::vector<NodeId> out;
-  for (LinkId link : OutLinks(node)) {
-    NodeId target = links_.at(link).end;
-    if (std::find(out.begin(), out.end(), target) == out.end()) {
-      out.push_back(target);
-    }
-  }
-  return out;
-}
-
-std::vector<NodeId> LogicalNetwork::Predecessors(NodeId node) const {
-  std::vector<NodeId> out;
-  for (LinkId link : InLinks(node)) {
-    NodeId source = links_.at(link).start;
-    if (std::find(out.begin(), out.end(), source) == out.end()) {
-      out.push_back(source);
-    }
-  }
-  return out;
-}
-
 std::vector<NodeId> LogicalNetwork::Nodes() const {
   std::vector<NodeId> out;
   out.reserve(nodes_.size());
@@ -125,11 +34,22 @@ std::vector<NodeId> LogicalNetwork::Nodes() const {
   return out;
 }
 
-std::vector<LinkId> LogicalNetwork::Links() const {
-  std::vector<LinkId> out;
-  out.reserve(links_.size());
-  for (const auto& [id, rec] : links_) out.push_back(id);
-  return out;
+void LogicalNetwork::ForEachNode(
+    const std::function<void(NodeId)>& fn) const {
+  for (const auto& [id, rec] : nodes_) fn(id);
+}
+
+void LogicalNetwork::ForEachLink(
+    NodeId node, Direction direction,
+    const std::function<void(const Link&)>& fn) const {
+  auto it = nodes_.find(node);
+  if (it == nodes_.end()) return;
+  if (direction != Direction::kIncoming) {
+    for (LinkId id : it->second.out) fn(links_.at(id));
+  }
+  if (direction != Direction::kOutgoing) {
+    for (LinkId id : it->second.in) fn(links_.at(id));
+  }
 }
 
 }  // namespace rdfdb::ndm

@@ -3,19 +3,20 @@
 // The paper builds its RDF store on Oracle Spatial's Network Data Model
 // (NDM): "RDF graphs are modeled as a directed logical network in NDM",
 // with triples' subjects/objects as nodes and predicates as links. This
-// module is our NDM — an in-memory directed multigraph keyed by the same
-// node/link identifiers stored in the node$/link$ tables, plus the
-// analysis functions NDM exposes (see analysis.h).
+// module is our NDM: the read-only Network interface the analysis
+// functions (analysis.h) run over, plus LogicalNetwork, an in-memory
+// directed multigraph for hand-built graphs and extracted subnetworks.
+// The RDF store implements Network directly over rdf_node$ and its quad
+// cache (rdf::LinkStore), so the stored triples are the network.
 
 #ifndef RDFDB_NDM_NETWORK_H_
 #define RDFDB_NDM_NETWORK_H_
 
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 
 namespace rdfdb::ndm {
@@ -37,16 +38,38 @@ struct Link {
   int64_t label = 0;
 };
 
-/// Directed logical network (multigraph: parallel links allowed — the RDF
-/// store creates "a new link whenever a new triple is inserted").
-class LogicalNetwork {
+/// Traversal direction for searches over a directed network.
+enum class Direction {
+  kOutgoing,   ///< follow links start -> end
+  kIncoming,   ///< follow links end -> start
+  kBoth,       ///< treat links as undirected
+};
+
+/// Read-only view of a directed logical network (multigraph: parallel
+/// links allowed — the RDF store creates "a new link whenever a new
+/// triple is inserted").
+class Network {
  public:
-  explicit LogicalNetwork(std::string name = "rdf_network");
+  virtual ~Network() = default;
 
-  const std::string& name() const { return name_; }
+  virtual size_t node_count() const = 0;
+  virtual size_t link_count() const = 0;
+  virtual bool HasNode(NodeId node) const = 0;
 
-  // ---- Mutation -------------------------------------------------------
+  /// Visit every node once.
+  virtual void ForEachNode(const std::function<void(NodeId)>& fn) const = 0;
 
+  /// Visit the links at `node`: out-links (start == node) for kOutgoing,
+  /// in-links (end == node) for kIncoming, out-links then in-links for
+  /// kBoth (a self-loop is visited twice). Unknown nodes have no links.
+  virtual void ForEachLink(NodeId node, Direction direction,
+                           const std::function<void(const Link&)>& fn)
+      const = 0;
+};
+
+/// In-memory Network with explicit adjacency lists.
+class LogicalNetwork final : public Network {
+ public:
   /// Add a node; idempotent.
   void AddNode(NodeId node);
 
@@ -54,52 +77,20 @@ class LogicalNetwork {
   /// AlreadyExists if the link id is taken.
   Status AddLink(const Link& link);
 
-  /// Pre-size the node/link maps for an upcoming bulk registration of up
-  /// to `extra_nodes` new nodes and `extra_links` new links.
-  void ReserveAdditional(size_t extra_nodes, size_t extra_links);
-
-  /// Bulk AddLink: reserves capacity, then registers every link in order
-  /// (endpoints created implicitly). Fails on the first duplicate link
-  /// id, leaving the earlier links of the batch registered.
-  Status AddLinksBulk(const std::vector<Link>& links);
-
-  /// Remove a link. The endpoints stay ("nodes attached to this link are
-  /// not removed if there are other links connected to them" — callers
-  /// remove orphaned nodes explicitly via RemoveNodeIfIsolated).
-  Status RemoveLink(LinkId link);
-
-  /// Remove `node` if it has no in- or out-links; returns true if removed.
-  bool RemoveNodeIfIsolated(NodeId node);
-
-  // ---- Introspection --------------------------------------------------
-
-  bool HasNode(NodeId node) const;
   bool HasLink(LinkId link) const;
   const Link* GetLink(LinkId link) const;
-
-  size_t node_count() const { return nodes_.size(); }
-  size_t link_count() const { return links_.size(); }
-
-  size_t OutDegree(NodeId node) const;
-  size_t InDegree(NodeId node) const;
-
-  /// Out-links leaving `node` (empty for unknown nodes).
-  const std::vector<LinkId>& OutLinks(NodeId node) const;
-
-  /// In-links arriving at `node` (empty for unknown nodes).
-  const std::vector<LinkId>& InLinks(NodeId node) const;
-
-  /// Distinct successor nodes of `node`.
-  std::vector<NodeId> Successors(NodeId node) const;
-
-  /// Distinct predecessor nodes of `node`.
-  std::vector<NodeId> Predecessors(NodeId node) const;
 
   /// All node ids (unordered).
   std::vector<NodeId> Nodes() const;
 
-  /// All link ids (unordered).
-  std::vector<LinkId> Links() const;
+  // ---- Network ----------------------------------------------------------
+
+  size_t node_count() const override { return nodes_.size(); }
+  size_t link_count() const override { return links_.size(); }
+  bool HasNode(NodeId node) const override;
+  void ForEachNode(const std::function<void(NodeId)>& fn) const override;
+  void ForEachLink(NodeId node, Direction direction,
+                   const std::function<void(const Link&)>& fn) const override;
 
  private:
   struct NodeRec {
@@ -107,7 +98,6 @@ class LogicalNetwork {
     std::vector<LinkId> in;
   };
 
-  std::string name_;
   std::unordered_map<NodeId, NodeRec> nodes_;
   std::unordered_map<LinkId, Link> links_;
 };

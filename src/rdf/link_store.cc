@@ -6,6 +6,7 @@
 #include "common/hash.h"
 #include "common/string_util.h"
 #include "obs/store_metrics.h"
+#include "rdf/canonical.h"
 #include "rdf/term.h"
 #include "rdf/vocab.h"
 
@@ -72,8 +73,8 @@ std::string ClassifyPredicate(const std::string& predicate_uri) {
   return "STANDARD";
 }
 
-LinkStore::LinkStore(storage::Database* db, ndm::LogicalNetwork* net)
-    : db_(db), net_(net) {
+LinkStore::LinkStore(storage::Database* db, const ValueStore* values)
+    : db_(db), values_(values) {
   links_ = db_->GetTable("MDSYS", "RDF_LINK$");
   if (links_ == nullptr) {
     links_ = *db_->CreateTable("MDSYS", "RDF_LINK$", LinkSchema());
@@ -100,6 +101,7 @@ LinkStore::LinkStore(storage::Database* db, ndm::LogicalNetwork* net)
                               KeyExtractor::Columns({kNodeId}),
                               /*unique=*/true);
   }
+  node_idx_ = nodes_->GetIndex("rdf_node_id_idx");
 
   // Reattach: rebuild the id-native quad cache from existing rows.
   RebuildCache();
@@ -384,22 +386,91 @@ storage::Row LinkStore::LinkToRow(const LinkRow& link) const {
   return row;
 }
 
+bool LinkStore::HasNode(ndm::NodeId node) const {
+  bool found = false;
+  node_idx_->FindEach(ValueKey{Value::Int64(node)}, [&](storage::RowId) {
+    found = true;
+    return false;
+  });
+  return found;
+}
+
+void LinkStore::ForEachNode(const std::function<void(ndm::NodeId)>& fn) const {
+  nodes_->Scan([&](storage::RowId, const Row& row) {
+    fn(row[kNodeId].as_int64());
+    return true;
+  });
+}
+
+ValueId LinkStore::CanonicalNodeId(ValueId node) const {
+  // Only typed literals ("TL"/"TLL") have a canonical form other than
+  // themselves.
+  Result<std::string> type = values_->GetTypeCode(node);
+  if (!type.ok() || (*type)[0] != 'T') return node;
+  Result<Term> term = values_->GetTerm(node);
+  if (!term.ok()) return node;
+  return values_->Lookup(CanonicalForm(*term)).value_or(node);
+}
+
+bool LinkStore::VisitQuads(
+    ValueId node, ValueId canon, ndm::Direction direction,
+    const std::function<bool(const IdQuad&)>& fn) const {
+  // Posting lists may name tombstoned quads, whose -1 ids never equal
+  // `node`, so the position check also skips the dead.
+  auto scan = [&](bool out) {
+    for (const auto& [model_id, cache] : id_cache_) {
+      (void)model_id;
+      const PostingMap& postings = out ? cache->by_s : cache->by_canon;
+      auto it = postings.find(out ? node : canon);
+      if (it == postings.end()) continue;
+      bool more = true;
+      it->second.ForEach([&](uint32_t idx) {
+        const IdQuad& q = cache->quads[idx];
+        if ((out ? q.s : q.o) == node) more = fn(q);
+        return more;
+      });
+      if (!more) return false;
+    }
+    return true;
+  };
+  if (direction != ndm::Direction::kIncoming && !scan(/*out=*/true)) {
+    return false;
+  }
+  return direction == ndm::Direction::kOutgoing || scan(/*out=*/false);
+}
+
+void LinkStore::ForEachLink(
+    ndm::NodeId node, ndm::Direction direction,
+    const std::function<void(const ndm::Link&)>& fn) const {
+  ValueId canon =
+      direction == ndm::Direction::kOutgoing ? node : CanonicalNodeId(node);
+  VisitQuads(node, canon, direction, [&](const IdQuad& q) {
+    fn(ndm::Link{q.link_id, q.s, q.o, /*cost=*/1.0, /*label=*/q.p});
+    return true;
+  });
+}
+
 void LinkStore::EnsureNode(ValueId node) {
-  if (net_->HasNode(node)) return;
-  net_->AddNode(node);
+  if (HasNode(node)) return;
   Row row(2);
   row[kNodeId] = Value::Int64(node);
   row[kNodeActive] = Value::String("Y");
   (void)nodes_->Insert(std::move(row));
 }
 
-void LinkStore::DropNodeIfOrphaned(ValueId node) {
-  if (!net_->RemoveNodeIfIsolated(node)) return;
-  auto ids = nodes_->FindByIndex("rdf_node_id_idx",
-                                 ValueKey{Value::Int64(node)});
-  if (ids.ok() && !ids->empty()) {
-    (void)nodes_->Delete(ids->front());
-  }
+void LinkStore::DropOrphanedEndpoints(const LinkRow& link) {
+  // Subjects are URIs or blank nodes, which are their own canonical form.
+  DropNodeIfOrphaned(link.start_node_id, link.start_node_id);
+  DropNodeIfOrphaned(link.end_node_id, link.canon_end_node_id);
+}
+
+void LinkStore::DropNodeIfOrphaned(ValueId node, ValueId canon) {
+  bool linked = !VisitQuads(node, canon, ndm::Direction::kBoth,
+                            [](const IdQuad&) { return false; });
+  if (linked) return;
+  std::vector<storage::RowId> rows =
+      node_idx_->Find(ValueKey{Value::Int64(node)});
+  if (!rows.empty()) (void)nodes_->Delete(rows.front());
 }
 
 Result<LinkInsertOutcome> LinkStore::Insert(int64_t model_id, ValueId s,
@@ -450,12 +521,10 @@ Result<LinkInsertOutcome> LinkStore::Insert(int64_t model_id, ValueId s,
   CacheInsert(model_id, IdQuad{s, p, o, canon_o, link.link_id}, *insert,
               context == TripleContext::kImplied);
 
-  // Keep the NDM network in sync: "a new link is always created whenever
-  // a new triple is inserted"; nodes are reused.
+  // "A new link is always created whenever a new triple is inserted";
+  // nodes are reused.
   EnsureNode(s);
   EnsureNode(o);
-  RDFDB_RETURN_NOT_OK(net_->AddLink(ndm::Link{
-      link.link_id, s, o, /*cost=*/1.0, /*label=*/p}));
   if (metrics_ != nullptr) metrics_->link_inserts->Inc();
   return LinkInsertOutcome{link, /*inserted=*/true};
 }
@@ -577,21 +646,14 @@ Result<std::vector<LinkInsertOutcome>> LinkStore::InsertBatch(
                 g.row.context == TripleContext::kImplied);
   }
 
-  // Phase 3: bulk-register the NDM side. Node creation order matches the
-  // sequential path (subject then object, per new link, in link order) so
-  // rdf_node$ contents are bit-identical.
-  net_->ReserveAdditional(2 * new_groups, new_groups);
-  std::vector<ndm::Link> ndm_links;
-  ndm_links.reserve(new_groups);
+  // Phase 3: rdf_node$ rows, created in the sequential path's order
+  // (subject then object, per new link, in link order) so the table's
+  // contents are bit-identical.
   for (const Group& g : groups) {
     if (!g.is_new) continue;
     EnsureNode(g.row.start_node_id);
     EnsureNode(g.row.end_node_id);
-    ndm_links.push_back(ndm::Link{g.row.link_id, g.row.start_node_id,
-                                  g.row.end_node_id, /*cost=*/1.0,
-                                  /*label=*/g.row.p_value_id});
   }
-  RDFDB_RETURN_NOT_OK(net_->AddLinksBulk(ndm_links));
 
   if (metrics_ != nullptr) {
     // Mirror the sequential path: each entry either created a row or
@@ -794,7 +856,7 @@ Status LinkStore::Delete(int64_t model_id, ValueId s, ValueId p, ValueId o,
   RDFDB_RETURN_NOT_OK(links_->Delete(rid));
   CacheErase(model_id, link.link_id,
              link.context == TripleContext::kImplied);
-  RemoveFromNetwork(link);
+  DropOrphanedEndpoints(link);
   return Status::OK();
 }
 
@@ -810,18 +872,18 @@ Status LinkStore::DeleteModel(int64_t model_id) {
                         });
   for (const auto& [rid, link] : doomed) {
     RDFDB_RETURN_NOT_OK(links_->Delete(rid));
-    RemoveFromNetwork(link);
+    DropOrphanedEndpoints(link);
   }
   return Status::OK();
 }
 
-void LinkStore::RemoveFromNetwork(const LinkRow& link) {
-  // "When a triple is deleted from the database, the corresponding link
-  // is removed. However, the nodes attached to this link are not removed
-  // if there are other links connected to them."
-  (void)net_->RemoveLink(link.link_id);
-  DropNodeIfOrphaned(link.start_node_id);
-  DropNodeIfOrphaned(link.end_node_id);
+size_t LinkStore::CachedTripleCount() const {
+  size_t n = 0;
+  for (const auto& [model_id, cache] : id_cache_) {
+    (void)model_id;
+    n += cache->live_count();
+  }
+  return n;
 }
 
 size_t LinkStore::TripleCount(int64_t model_id) const {

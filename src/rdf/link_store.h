@@ -3,14 +3,17 @@
 // "The rdf_link$ table is dual-purposed: it stores the triples for all the
 // RDF graphs in the database, and it defines the logical network seen by
 // NDM." This class maintains the table rows, the companion rdf_node$
-// rows, and the in-memory NDM LogicalNetwork, keeping all three in sync.
-// The table is partitioned by MODEL_ID, as in the paper.
+// rows (one per VALUE_ID that is a live link's endpoint), and the
+// id-native quad cache, and it is itself that logical network: NDM
+// analysis reads nodes from rdf_node$ and links from the cache's posting
+// lists. The table is partitioned by MODEL_ID, as in the paper.
 
 #ifndef RDFDB_RDF_LINK_STORE_H_
 #define RDFDB_RDF_LINK_STORE_H_
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -73,12 +76,14 @@ struct LinkBatchEntry {
 /// Classify a predicate URI into the paper's LINK_TYPE codes.
 std::string ClassifyPredicate(const std::string& predicate_uri);
 
-/// Triple storage over rdf_link$ + rdf_node$ + the NDM network.
-class LinkStore {
+/// Triple storage over rdf_link$ + rdf_node$, and the NDM network they
+/// define.
+class LinkStore : public ndm::Network {
  public:
   /// Creates (or reattaches to) MDSYS.RDF_LINK$ / MDSYS.RDF_NODE$ inside
-  /// `db` and binds the NDM network `net`.
-  LinkStore(storage::Database* db, ndm::LogicalNetwork* net);
+  /// `db`. `values` resolves a node's canonical VALUE_ID for in-link
+  /// lookups and must outlive the store.
+  LinkStore(storage::Database* db, const ValueStore* values);
 
   /// Insert a triple into a model. If the identical (s, p, o) triple
   /// already exists in the model, no new row is created: COST is
@@ -94,10 +99,10 @@ class LinkStore {
   /// calling Insert() once per entry in order (same LINK_ID assignment,
   /// same final COST / CONTEXT-upgrade / REIF_LINK state), but duplicate
   /// detection probes the SPO index once per distinct (s, p, o), repeated
-  /// statements fold into a single UPDATE, new rows go through the
-  /// table's staged append path with a pre-reserved LINK_ID range, and
-  /// NDM nodes/links are registered in bulk. Outcome i reports whether
-  /// entry i was the batch's first sighting of a brand-new triple.
+  /// statements fold into a single UPDATE, and new rows go through the
+  /// table's staged append path with a pre-reserved LINK_ID range.
+  /// Outcome i reports whether entry i was the batch's first sighting of
+  /// a brand-new triple.
   Result<std::vector<LinkInsertOutcome>> InsertBatch(
       int64_t model_id, const std::vector<LinkBatchEntry>& entries);
 
@@ -145,9 +150,8 @@ class LinkStore {
   void RebuildCache();
 
   /// Drop one application-table reference: decrements COST and removes
-  /// the row (plus the NDM link, plus now-orphaned nodes and rdf_node$
-  /// rows) when the count reaches zero. `force` removes regardless of
-  /// COST.
+  /// the row (plus now-orphaned rdf_node$ rows) when the count reaches
+  /// zero. `force` removes regardless of COST.
   Status Delete(int64_t model_id, ValueId s, ValueId p, ValueId o,
                 bool force = false);
 
@@ -163,6 +167,22 @@ class LinkStore {
   /// Visit every link row of a model.
   void ScanModel(int64_t model_id,
                  const std::function<bool(const LinkRow&)>& fn) const;
+
+  /// Live quads across every model's cache; equals TotalTripleCount()
+  /// unless the cache and rdf_link$ disagree.
+  size_t CachedTripleCount() const;
+
+  // ---- ndm::Network: nodes are rdf_node$ rows, links are live quads
+  // (cost 1, label = predicate VALUE_ID). Models are visited in
+  // ascending MODEL_ID, each model's links in quad order. -------------
+
+  size_t node_count() const override { return nodes_->row_count(); }
+  size_t link_count() const override { return links_->row_count(); }
+  bool HasNode(ndm::NodeId node) const override;
+  void ForEachNode(const std::function<void(ndm::NodeId)>& fn) const override;
+  void ForEachLink(ndm::NodeId node, ndm::Direction direction,
+                   const std::function<void(const ndm::Link&)>& fn)
+      const override;
 
   /// Underlying table (Experiment I's direct-join query reads it).
   const storage::Table& table() const { return *links_; }
@@ -493,16 +513,31 @@ class LinkStore {
 
   LinkRow RowToLink(const storage::Row& row) const;
   storage::Row LinkToRow(const LinkRow& link) const;
-  void RemoveFromNetwork(const LinkRow& link);
+
+  /// VALUE_ID under which quads whose object is `node` are posted in
+  /// by_canon (differs from `node` only for non-canonical typed
+  /// literals).
+  ValueId CanonicalNodeId(ValueId node) const;
+  /// Visit live quads with s == node (out) and then with o == node
+  /// (in, found under `canon`) until `fn` returns false; false if it
+  /// did.
+  bool VisitQuads(ValueId node, ValueId canon, ndm::Direction direction,
+                  const std::function<bool(const IdQuad&)>& fn) const;
   void EnsureNode(ValueId node);
-  void DropNodeIfOrphaned(ValueId node);
+  /// "When a triple is deleted from the database, the corresponding link
+  /// is removed. However, the nodes attached to this link are not removed
+  /// if there are other links connected to them."
+  void DropOrphanedEndpoints(const LinkRow& link);
+  void DropNodeIfOrphaned(ValueId node, ValueId canon);
 
   storage::Database* db_;
-  ndm::LogicalNetwork* net_;
+  const ValueStore* values_;
   storage::Table* links_;   // MDSYS.RDF_LINK$
   storage::Table* nodes_;   // MDSYS.RDF_NODE$
+  const storage::Index* node_idx_;  // rdf_node_id_idx (unique NODE_ID)
   storage::Sequence* link_seq_;
-  std::unordered_map<int64_t, std::shared_ptr<ModelIdCache>> id_cache_;
+  /// Ordered by MODEL_ID so network traversals are deterministic.
+  std::map<int64_t, std::shared_ptr<ModelIdCache>> id_cache_;
   obs::StoreMetrics* metrics_ = nullptr;
 };
 

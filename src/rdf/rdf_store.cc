@@ -14,13 +14,12 @@
 namespace rdfdb::rdf {
 
 RdfStore::RdfStore()
-    : db_(std::make_unique<storage::Database>("ORADB")),
-      network_(std::make_unique<ndm::LogicalNetwork>("rdf_network")) {
+    : db_(std::make_unique<storage::Database>("ORADB")) {
   registry_ = std::make_unique<obs::MetricsRegistry>();
   metrics_ = std::make_unique<obs::StoreMetrics>(registry_.get());
   values_ = std::make_unique<ValueStore>(db_.get());
   values_->set_metrics(metrics_.get());
-  links_ = std::make_unique<LinkStore>(db_.get(), network_.get());
+  links_ = std::make_unique<LinkStore>(db_.get(), values_.get());
   links_->set_metrics(metrics_.get());
   models_ = std::make_unique<ModelStore>(db_.get());
 }
@@ -30,9 +29,9 @@ RdfStore::~RdfStore() {
     event_log_->Append(
         "store", "close",
         {obs::EventField::Num("links",
-                              static_cast<int64_t>(network_->link_count())),
+                              static_cast<int64_t>(links_->link_count())),
          obs::EventField::Num("nodes",
-                              static_cast<int64_t>(network_->node_count()))});
+                              static_cast<int64_t>(links_->node_count()))});
   }
 }
 
@@ -44,9 +43,9 @@ void RdfStore::set_event_log(obs::EventLog* log) {
     event_log_->Append(
         "store", "attach",
         {obs::EventField::Num("links",
-                              static_cast<int64_t>(network_->link_count())),
+                              static_cast<int64_t>(links_->link_count())),
          obs::EventField::Num("nodes",
-                              static_cast<int64_t>(network_->node_count())),
+                              static_cast<int64_t>(links_->node_count())),
          obs::EventField::Num("models",
                               static_cast<int64_t>(ModelNames().size()))});
   }
@@ -201,9 +200,13 @@ Result<SdoRdfTripleS> RdfStore::InsertTriple(const std::string& model_name,
 Result<SdoRdfTripleS> RdfStore::ReifyTriple(const std::string& model_name,
                                             LinkId rdf_t_id) {
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  // The reified triple must exist.
+  // The reified triple must exist, in the reifying model: recovery
+  // re-finds a logged reification's base by its text in that model.
   RDFDB_ASSIGN_OR_RETURN(LinkRow base, links_->Get(rdf_t_id));
-  (void)base;
+  if (base.model_id != model_id) {
+    return Status::InvalidArgument("LINK_ID " + std::to_string(rdf_t_id) +
+                                   " is not in model " + model_name);
+  }
   Term resource = Term::Uri(DBUriForLink(rdf_t_id, db_->name()));
   Term type = Term::Uri(std::string(kRdfType));
   Term statement = Term::Uri(std::string(kRdfStatement));
@@ -234,18 +237,24 @@ Result<SdoRdfTripleS> RdfStore::AssertAboutTriple(
     const std::string& model_name, const std::string& subject,
     const std::string& property, LinkId rdf_t_id) {
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
+  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
+  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
+  return AssertAboutTerms(model_name, model_id, s, p, rdf_t_id);
+}
+
+Result<SdoRdfTripleS> RdfStore::AssertAboutTerms(const std::string& model_name,
+                                                 ModelId model_id,
+                                                 const Term& subject,
+                                                 const Term& property,
+                                                 LinkId rdf_t_id) {
   RDFDB_ASSIGN_OR_RETURN(bool reified, IsLinkReified(model_id, rdf_t_id));
   if (!reified) {
     // "... which calls the reification constructor (if the triple was not
     // previously reified)".
-    RDFDB_ASSIGN_OR_RETURN(SdoRdfTripleS reif,
-                           ReifyTriple(model_name, rdf_t_id));
-    (void)reif;
+    RDFDB_RETURN_NOT_OK(ReifyTriple(model_name, rdf_t_id).status());
   }
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
   Term o = Term::Uri(DBUriForLink(rdf_t_id, db_->name()));
-  return InsertTerms(model_id, s, p, o, TripleContext::kDirect);
+  return InsertTerms(model_id, subject, property, o, TripleContext::kDirect);
 }
 
 Result<SdoRdfTripleS> RdfStore::AssertImplied(const std::string& model_name,
@@ -255,6 +264,10 @@ Result<SdoRdfTripleS> RdfStore::AssertImplied(const std::string& model_name,
                                               const std::string& property,
                                               const std::string& object) {
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
+  // Parse every term before the first mutation, so a bad term fails the
+  // call with the store untouched.
+  RDFDB_ASSIGN_OR_RETURN(Term rs, ParseApiSubject(reif_sub));
+  RDFDB_ASSIGN_OR_RETURN(Term rp, ParseApiPredicate(reif_prop));
   RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
   RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
   RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
@@ -263,7 +276,7 @@ Result<SdoRdfTripleS> RdfStore::AssertImplied(const std::string& model_name,
   RDFDB_ASSIGN_OR_RETURN(
       SdoRdfTripleS base,
       InsertTerms(model_id, s, p, o, TripleContext::kImplied));
-  return AssertAboutTriple(model_name, reif_sub, reif_prop, base.rdf_t_id());
+  return AssertAboutTerms(model_name, model_id, rs, rp, base.rdf_t_id());
 }
 
 Result<bool> RdfStore::IsTriple(const std::string& model_name,
@@ -371,56 +384,47 @@ Result<RdfStore::ModelStats> RdfStore::GetModelStats(
 }
 
 Status RdfStore::CheckConsistency() const {
-  const storage::Table* link_table = db_->GetTable("MDSYS", "RDF_LINK$");
-  const storage::Table* node_table = db_->GetTable("MDSYS", "RDF_NODE$");
-
-  if (network_->link_count() != link_table->row_count()) {
+  if (links_->CachedTripleCount() != links_->TotalTripleCount()) {
     return Status::Corruption(
-        "network has " + std::to_string(network_->link_count()) +
-        " links, rdf_link$ has " + std::to_string(link_table->row_count()));
-  }
-  if (network_->node_count() != node_table->row_count()) {
-    return Status::Corruption(
-        "network has " + std::to_string(network_->node_count()) +
-        " nodes, rdf_node$ has " + std::to_string(node_table->row_count()));
+        "quad cache has " + std::to_string(links_->CachedTripleCount()) +
+        " live triples, rdf_link$ has " +
+        std::to_string(links_->TotalTripleCount()));
   }
 
-  // Every link row must be mirrored in the network with matching
-  // endpoints, and every endpoint must resolve in rdf_value$.
+  // Every link endpoint must have an rdf_node$ row, and every VALUE_ID
+  // column must resolve in rdf_value$.
   Status status = Status::OK();
-  link_table->Scan([&](storage::RowId, const storage::Row& row) {
-    int64_t link_id = row[0].as_int64();
-    const ndm::Link* link = network_->GetLink(link_id);
-    if (link == nullptr) {
-      status = Status::Corruption("LINK_ID " + std::to_string(link_id) +
-                                  " missing from the network");
+  links_->table().Scan([&](storage::RowId, const storage::Row& row) {
+    auto fail = [&](const std::string& what, size_t col) {
+      status = Status::Corruption(
+          "LINK_ID " + std::to_string(row[0].as_int64()) + what +
+          std::to_string(row[col].as_int64()));
       return false;
-    }
-    if (link->start != row[1].as_int64() || link->end != row[3].as_int64()) {
-      status = Status::Corruption("LINK_ID " + std::to_string(link_id) +
-                                  " endpoints disagree with rdf_link$");
-      return false;
+    };
+    for (size_t col : {1u, 3u}) {
+      if (!links_->HasNode(row[col].as_int64())) {
+        return fail(" has no rdf_node$ row for endpoint ", col);
+      }
     }
     for (size_t col : {1u, 2u, 3u, 4u}) {
       if (!values_->GetTerm(row[col].as_int64()).ok()) {
-        status = Status::Corruption(
-            "LINK_ID " + std::to_string(link_id) +
-            " references missing VALUE_ID " +
-            std::to_string(row[col].as_int64()));
-        return false;
+        return fail(" references missing VALUE_ID ", col);
       }
     }
     return true;
   });
   RDFDB_RETURN_NOT_OK(status);
 
-  // No orphaned nodes: every network node has at least one link.
-  for (ndm::NodeId node : network_->Nodes()) {
-    if (network_->OutDegree(node) == 0 && network_->InDegree(node) == 0) {
-      return Status::Corruption("orphaned node " + std::to_string(node));
+  // No orphaned nodes: every rdf_node$ row has at least one live link.
+  links_->ForEachNode([&](ndm::NodeId node) {
+    bool linked = false;
+    links_->ForEachLink(node, ndm::Direction::kBoth,
+                        [&](const ndm::Link&) { linked = true; });
+    if (!linked && status.ok()) {
+      status = Status::Corruption("orphaned node " + std::to_string(node));
     }
-  }
-  return Status::OK();
+  });
+  return status;
 }
 
 Status RdfStore::DeleteTriple(const std::string& model_name,
@@ -507,7 +511,7 @@ Status RdfStore::Save(const std::string& path, storage::Env* env) const {
           "snapshot", "save",
           {obs::EventField::Str("path", path),
            obs::EventField::Num("links",
-                                static_cast<int64_t>(network_->link_count())),
+                                static_cast<int64_t>(links_->link_count())),
            obs::EventField::Num("elapsed_us",
                                 save_timer.ElapsedNanos() / 1000)});
     } else {
@@ -521,8 +525,8 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Open(const std::string& path,
                                                  storage::Env* env) {
   Timer open_timer;
   // Load the snapshot into a scratch database first, then replay rows
-  // through a fresh store so indexes, the NDM network and sequences are
-  // all rebuilt consistently.
+  // through a fresh store so indexes, caches and sequences are all
+  // rebuilt consistently.
   auto store = std::make_unique<RdfStore>();
   storage::Database scratch("ORADB");
   RDFDB_RETURN_NOT_OK(storage::LoadSnapshotFromFile(path, &scratch, env));
@@ -550,33 +554,7 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Open(const std::string& path,
   RDFDB_RETURN_NOT_OK(copy_rows("RDF_BLANK_NODE$"));
   RDFDB_RETURN_NOT_OK(copy_rows("RDF_MODEL$"));
   RDFDB_RETURN_NOT_OK(copy_rows("RDF_NODE$"));
-
-  // Links must go through the link store so the NDM network is rebuilt,
-  // but raw row copy preserves LINK_IDs; replay rows and links together.
-  {
-    const storage::Table* src = scratch.GetTable("MDSYS", "RDF_LINK$");
-    if (src == nullptr) {
-      return Status::Corruption("snapshot missing MDSYS.RDF_LINK$");
-    }
-    storage::Table* dst = store->db_->GetTable("MDSYS", "RDF_LINK$");
-    Status status = Status::OK();
-    src->Scan([&](storage::RowId, const storage::Row& row) {
-      auto insert = dst->Insert(row);
-      if (!insert.ok()) {
-        status = insert.status();
-        return false;
-      }
-      int64_t link_id = row[0].as_int64();
-      int64_t s = row[1].as_int64();
-      int64_t p = row[2].as_int64();
-      int64_t o = row[3].as_int64();
-      store->network_->AddNode(s);
-      store->network_->AddNode(o);
-      status = store->network_->AddLink(ndm::Link{link_id, s, o, 1.0, p});
-      return status.ok();
-    });
-    RDFDB_RETURN_NOT_OK(status);
-  }
+  RDFDB_RETURN_NOT_OK(copy_rows("RDF_LINK$"));
 
   // The raw row copies above bypassed ValueStore::LookupOrInsert and
   // LinkStore::Insert, so the value-store lookup structures and the

@@ -144,9 +144,11 @@ class RdfStore : public StoreView {
   Result<ModelStats> GetModelStats(const std::string& model_name,
                                    const ModelStatsOptions& options) const;
 
-  /// Invariant check used by tests and tooling: the NDM network, the
-  /// rdf_node$ table, and rdf_link$ must agree (every link mirrored,
-  /// every node used by some link, no orphans).
+  /// Invariant check used by tests and tooling: rdf_link$, the quad
+  /// cache, rdf_node$ and rdf_value$ must agree (the cache holds every
+  /// live row, every link endpoint has an rdf_node$ row, every
+  /// rdf_node$ row is some live link's endpoint, every VALUE_ID
+  /// resolves). Corruption names the first violation.
   Status CheckConsistency() const;
 
   /// SDO_RDF.IS_REIFIED: has the triple been reified in the model?
@@ -158,8 +160,7 @@ class RdfStore : public StoreView {
                          const std::string& object) const;
 
   /// Remove one application-table reference to a triple; the row (and
-  /// NDM link, and orphaned nodes) disappears when the last reference is
-  /// deleted.
+  /// orphaned nodes) disappears when the last reference is deleted.
   Status DeleteTriple(const std::string& model_name,
                       const std::string& subject,
                       const std::string& property,
@@ -224,8 +225,9 @@ class RdfStore : public StoreView {
   const ModelStore& models() const { return *models_; }
 
   /// The NDM logical network over all RDF data — "all the NDM
-  /// functionality is exposed to RDF data".
-  const ndm::LogicalNetwork& network() const { return *network_; }
+  /// functionality is exposed to RDF data". Reads rdf_node$ and the
+  /// quad cache in place, so it sees every later mutation.
+  const ndm::Network& network() const { return *links_; }
 
   /// DBUri resolver bound to this store's database.
   dburi::Resolver resolver() const { return dburi::Resolver(db_.get()); }
@@ -302,10 +304,17 @@ class RdfStore : public StoreView {
                                     const Term& property, const Term& object,
                                     TripleContext context);
 
+  /// The assertion half of AssertAboutTriple/AssertImplied, on parsed
+  /// terms: reify `rdf_t_id` if needed, then store the assertion.
+  Result<SdoRdfTripleS> AssertAboutTerms(const std::string& model_name,
+                                         ModelId model_id,
+                                         const Term& subject,
+                                         const Term& property,
+                                         LinkId rdf_t_id);
+
   SdoRdfTripleS MakeHandle(const LinkRow& row) const;
 
   std::unique_ptr<storage::Database> db_;
-  std::unique_ptr<ndm::LogicalNetwork> network_;
   // Created before the stores so their set_metrics targets outlive them.
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::StoreMetrics> metrics_;

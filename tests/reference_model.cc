@@ -91,6 +91,20 @@ const RefTriple* ReferenceStore::FindLink(LinkId link) const {
   return nullptr;
 }
 
+Result<const RefTriple*> ReferenceStore::BaseOf(const std::string& model,
+                                               LinkId link) const {
+  const RefTriple* base = FindLink(link);
+  if (base == nullptr) {
+    return Status::NotFound("LINK_ID " + std::to_string(link));
+  }
+  RDFDB_ASSIGN_OR_RETURN(const RefModel* m, Model(model));
+  if (Find(*m, base->s, base->p, base->o) != base) {
+    return Status::InvalidArgument("LINK_ID " + std::to_string(link) +
+                                   " is not in model " + model);
+  }
+  return base;
+}
+
 bool ReferenceStore::IsLinkReified(const RefModel& model, LinkId link) {
   return Find(model, Term::Uri(DBUri(link)), RdfType(), RdfStatement()) !=
          nullptr;
@@ -176,10 +190,7 @@ Status ReferenceStore::Delete(const std::string& model, const std::string& s,
 Result<LinkId> ReferenceStore::Reify(const std::string& model,
                                      LinkId link) {
   RDFDB_RETURN_NOT_OK(Model(model).status());
-  const RefTriple* base = FindLink(link);
-  if (base == nullptr) {
-    return Status::NotFound("LINK_ID " + std::to_string(link));
-  }
+  RDFDB_ASSIGN_OR_RETURN(const RefTriple* base, BaseOf(model, link));
   // Replay re-finds the base by its text, in the reifying model.
   Log([model, s = base->s, p = base->p, o = base->o](ReferenceStore* store) {
     RDFDB_ASSIGN_OR_RETURN(const RefModel* m, store->Model(model));
@@ -210,10 +221,7 @@ Result<LinkId> ReferenceStore::AssertAbout(const std::string& model,
   RDFDB_RETURN_NOT_OK(Model(model).status());
   RDFDB_ASSIGN_OR_RETURN(Term st, rdf::ParseApiSubject(s));
   RDFDB_ASSIGN_OR_RETURN(Term pt, rdf::ParseApiPredicate(p));
-  const RefTriple* base = FindLink(link);
-  if (base == nullptr) {
-    return Status::NotFound("LINK_ID " + std::to_string(link));
-  }
+  RDFDB_ASSIGN_OR_RETURN(const RefTriple* base, BaseOf(model, link));
   Log([model, s, p, bs = base->s, bp = base->p,
        bo = base->o](ReferenceStore* store) {
     RDFDB_ASSIGN_OR_RETURN(const RefModel* m, store->Model(model));

@@ -19,7 +19,8 @@
 //   * LINK_IDs come from one store-wide sequence, starting at 2000,
 //     advanced once per newly stored triple.
 //   * Reifying LINK_ID n stores <DBUri(n), rdf:type, rdf:Statement>,
-//     with DBUri(n) = "/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=n]". An
+//     with DBUri(n) = "/ORADB/MDSYS/RDF_LINK$/ROW[LINK_ID=n]"; n must
+//     be a triple of the reifying model (InvalidArgument otherwise). An
 //     assertion about n reifies it first if the model does not hold
 //     that triple yet, then stores <subject, property, DBUri(n)>. An
 //     implied assertion first inserts its base triple as Implied.
@@ -163,6 +164,10 @@ class ReferenceStore {
                                const rdf::Term& p, const rdf::Term& o);
   /// The live triple carrying `link` in any model, or null.
   const RefTriple* FindLink(rdf::LinkId link) const;
+  /// The base of a reification in `model`: NotFound if no model holds
+  /// `link`, InvalidArgument if another model does.
+  Result<const RefTriple*> BaseOf(const std::string& model,
+                                  rdf::LinkId link) const;
   static bool IsLinkReified(const RefModel& model, rdf::LinkId link);
   /// The assertion half of the constructors: `link` must be live.
   Result<rdf::LinkId> AssertAboutTerms(const std::string& model,

@@ -9,14 +9,23 @@ namespace {
 
 class LinkStoreTest : public ::testing::Test {
  protected:
-  LinkStoreTest() : values_(&db_), links_(&db_, &net_) {}
+  LinkStoreTest() : values_(&db_), links_(&db_, &values_) {}
 
   ValueId V(const std::string& uri) {
     return *values_.LookupOrInsert(Term::Uri(uri));
   }
 
+  /// The NDM links the store reports at `node`.
+  std::vector<ndm::Link> NetLinks(ValueId node, ndm::Direction direction) {
+    std::vector<ndm::Link> out;
+    links_.ForEachLink(node, direction,
+                       [&](const ndm::Link& link) { out.push_back(link); });
+    return out;
+  }
+
+  size_t NodeRows() { return db_.GetTable("MDSYS", "RDF_NODE$")->row_count(); }
+
   storage::Database db_{"ORADB"};
-  ndm::LogicalNetwork net_;
   ValueStore values_;
   LinkStore links_;
 };
@@ -30,13 +39,19 @@ TEST_F(LinkStoreTest, InsertCreatesLinkAndNodes) {
   EXPECT_GT(outcome->row.link_id, 0);
   EXPECT_EQ(outcome->row.cost, 1);
   EXPECT_EQ(links_.TripleCount(1), 1u);
-  // NDM network mirrors the triple.
-  EXPECT_TRUE(net_.HasNode(s));
-  EXPECT_TRUE(net_.HasNode(o));
-  EXPECT_TRUE(net_.HasLink(outcome->row.link_id));
-  EXPECT_EQ(net_.GetLink(outcome->row.link_id)->label, p);
-  // rdf_node$ rows exist too.
-  EXPECT_EQ(db_.GetTable("MDSYS", "RDF_NODE$")->row_count(), 2u);
+  // The triple is an NDM link between two rdf_node$ rows.
+  EXPECT_TRUE(links_.HasNode(s));
+  EXPECT_TRUE(links_.HasNode(o));
+  EXPECT_EQ(NodeRows(), 2u);
+  std::vector<ndm::Link> out = NetLinks(s, ndm::Direction::kOutgoing);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].id, outcome->row.link_id);
+  EXPECT_EQ(out[0].end, o);
+  EXPECT_EQ(out[0].label, p);
+  std::vector<ndm::Link> in = NetLinks(o, ndm::Direction::kIncoming);
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(in[0].id, outcome->row.link_id);
+  EXPECT_TRUE(NetLinks(s, ndm::Direction::kIncoming).empty());
 }
 
 TEST_F(LinkStoreTest, DuplicateInsertIncrementsCost) {
@@ -52,7 +67,7 @@ TEST_F(LinkStoreTest, DuplicateInsertIncrementsCost) {
   EXPECT_EQ(second->row.link_id, first->row.link_id);
   EXPECT_EQ(second->row.cost, 2);
   EXPECT_EQ(links_.TripleCount(1), 1u);
-  EXPECT_EQ(net_.link_count(), 1u);
+  EXPECT_EQ(links_.link_count(), 1u);
 }
 
 TEST_F(LinkStoreTest, SameTripleDifferentModelsIsSeparate) {
@@ -66,8 +81,10 @@ TEST_F(LinkStoreTest, SameTripleDifferentModelsIsSeparate) {
   EXPECT_EQ(links_.TripleCount(1), 1u);
   EXPECT_EQ(links_.TripleCount(2), 1u);
   // Nodes are shared (stored once), links are per-triple.
-  EXPECT_EQ(net_.node_count(), 2u);
-  EXPECT_EQ(net_.link_count(), 2u);
+  EXPECT_EQ(NodeRows(), 2u);
+  EXPECT_EQ(links_.node_count(), 2u);
+  EXPECT_EQ(links_.link_count(), 2u);
+  EXPECT_EQ(NetLinks(s, ndm::Direction::kOutgoing).size(), 2u);
 }
 
 TEST_F(LinkStoreTest, ImpliedUpgradesToDirect) {
@@ -170,6 +187,32 @@ TEST_F(LinkStoreTest, MatchUsesCanonicalObject) {
   EXPECT_TRUE(links_.Match(1, std::nullopt, std::nullopt, o_raw).empty());
 }
 
+TEST_F(LinkStoreTest, InLinksOfNonCanonicalObject) {
+  // A non-canonical literal's in-links are posted under its canonical
+  // VALUE_ID; the network still tells the two nodes apart.
+  const std::string xsd_int = "http://www.w3.org/2001/XMLSchema#integer";
+  ValueId s1 = V("s1"), s2 = V("s2"), p = V("p");
+  ValueId o_raw = *values_.LookupOrInsert(Term::TypedLiteral("+025", xsd_int));
+  ValueId o_canon =
+      *values_.LookupOrInsert(Term::TypedLiteral("25", xsd_int));
+  auto raw = links_.Insert(1, s1, p, o_raw, o_canon, "STANDARD",
+                           TripleContext::kDirect, false);
+  auto canon = links_.Insert(1, s2, p, o_canon, o_canon, "STANDARD",
+                             TripleContext::kDirect, false);
+  std::vector<ndm::Link> in_raw = NetLinks(o_raw, ndm::Direction::kIncoming);
+  ASSERT_EQ(in_raw.size(), 1u);
+  EXPECT_EQ(in_raw[0].id, raw->row.link_id);
+  std::vector<ndm::Link> in_canon =
+      NetLinks(o_canon, ndm::Direction::kIncoming);
+  ASSERT_EQ(in_canon.size(), 1u);
+  EXPECT_EQ(in_canon[0].id, canon->row.link_id);
+  // Deleting the canonical triple orphans only its own endpoints.
+  ASSERT_TRUE(links_.Delete(1, s2, p, o_canon).ok());
+  EXPECT_FALSE(links_.HasNode(o_canon));
+  EXPECT_TRUE(links_.HasNode(o_raw));
+  EXPECT_EQ(NodeRows(), 2u);
+}
+
 TEST_F(LinkStoreTest, DeleteDecrementsCostThenRemoves) {
   ValueId s = V("s"), p = V("p"), o = V("o");
   (void)links_.Insert(1, s, p, o, o, "STANDARD", TripleContext::kDirect,
@@ -194,10 +237,11 @@ TEST_F(LinkStoreTest, DeleteRemovesOrphanedNodesOnly) {
   (void)links_.Insert(1, s, p, o2, o2, "STANDARD", TripleContext::kDirect,
                       false);
   ASSERT_TRUE(links_.Delete(1, s, p, o1).ok());
-  EXPECT_TRUE(net_.HasNode(s));    // still used by the second triple
-  EXPECT_FALSE(net_.HasNode(o1));  // orphaned -> removed
-  EXPECT_TRUE(net_.HasNode(o2));
-  EXPECT_EQ(db_.GetTable("MDSYS", "RDF_NODE$")->row_count(), 2u);
+  EXPECT_TRUE(links_.HasNode(s));    // still used by the second triple
+  EXPECT_FALSE(links_.HasNode(o1));  // orphaned -> removed
+  EXPECT_TRUE(links_.HasNode(o2));
+  EXPECT_EQ(NodeRows(), 2u);
+  EXPECT_TRUE(NetLinks(o1, ndm::Direction::kBoth).empty());
 }
 
 TEST_F(LinkStoreTest, ForceDeleteIgnoresCost) {
@@ -221,7 +265,10 @@ TEST_F(LinkStoreTest, DeleteModelRemovesEverything) {
   ASSERT_TRUE(links_.DeleteModel(1).ok());
   EXPECT_EQ(links_.TripleCount(1), 0u);
   EXPECT_EQ(links_.TripleCount(2), 1u);
-  EXPECT_EQ(net_.link_count(), 1u);
+  EXPECT_EQ(links_.link_count(), 1u);
+  // Both nodes are still endpoints of model 2's triple.
+  EXPECT_EQ(NodeRows(), 2u);
+  EXPECT_EQ(NetLinks(o, ndm::Direction::kIncoming).size(), 1u);
 }
 
 TEST_F(LinkStoreTest, ScanModel) {

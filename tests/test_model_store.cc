@@ -10,7 +10,7 @@ namespace {
 
 class ModelStoreTest : public ::testing::Test {
  protected:
-  ModelStoreTest() : values_(&db_), links_(&db_, &net_), models_(&db_) {}
+  ModelStoreTest() : values_(&db_), links_(&db_, &values_), models_(&db_) {}
 
   Result<ModelInfo> Create(const std::string& name,
                            const std::string& owner = "") {
@@ -19,7 +19,6 @@ class ModelStoreTest : public ::testing::Test {
   }
 
   storage::Database db_{"ORADB"};
-  ndm::LogicalNetwork net_;
   ValueStore values_;
   LinkStore links_;
   ModelStore models_;

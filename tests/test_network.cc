@@ -35,15 +35,24 @@ TEST(NetworkTest, DuplicateLinkIdRejected) {
   EXPECT_TRUE(net.AddLink({100, 3, 4}).IsAlreadyExists());
 }
 
+/// Link ids `net` reports at `node`, in visit order.
+std::vector<LinkId> LinkIds(const Network& net, NodeId node,
+                            Direction direction) {
+  std::vector<LinkId> ids;
+  net.ForEachLink(node, direction,
+                  [&](const Link& link) { ids.push_back(link.id); });
+  return ids;
+}
+
 TEST(NetworkTest, ParallelLinksAllowed) {
   // "A new link is always created whenever a new triple is inserted."
   LogicalNetwork net;
   ASSERT_TRUE(net.AddLink({1, 10, 20}).ok());
   ASSERT_TRUE(net.AddLink({2, 10, 20}).ok());
-  EXPECT_EQ(net.OutDegree(10), 2u);
-  EXPECT_EQ(net.InDegree(20), 2u);
-  // Successors deduplicates.
-  EXPECT_EQ(net.Successors(10), std::vector<NodeId>{20});
+  EXPECT_EQ(LinkIds(net, 10, Direction::kOutgoing),
+            (std::vector<LinkId>{1, 2}));
+  EXPECT_EQ(LinkIds(net, 20, Direction::kIncoming),
+            (std::vector<LinkId>{1, 2}));
 }
 
 TEST(NetworkTest, DegreesAndAdjacency) {
@@ -51,34 +60,13 @@ TEST(NetworkTest, DegreesAndAdjacency) {
   ASSERT_TRUE(net.AddLink({1, 1, 2}).ok());
   ASSERT_TRUE(net.AddLink({2, 1, 3}).ok());
   ASSERT_TRUE(net.AddLink({3, 4, 1}).ok());
-  EXPECT_EQ(net.OutDegree(1), 2u);
-  EXPECT_EQ(net.InDegree(1), 1u);
-  EXPECT_EQ(net.OutDegree(99), 0u);  // unknown node
-  auto succ = net.Successors(1);
-  std::sort(succ.begin(), succ.end());
-  EXPECT_EQ(succ, (std::vector<NodeId>{2, 3}));
-  EXPECT_EQ(net.Predecessors(1), std::vector<NodeId>{4});
-  EXPECT_TRUE(net.OutLinks(99).empty());
-}
-
-TEST(NetworkTest, RemoveLinkKeepsConnectedNodes) {
-  // "The nodes attached to this link are not removed if there are other
-  // links connected to them."
-  LogicalNetwork net;
-  ASSERT_TRUE(net.AddLink({1, 1, 2}).ok());
-  ASSERT_TRUE(net.AddLink({2, 1, 3}).ok());
-  ASSERT_TRUE(net.RemoveLink(1).ok());
-  EXPECT_FALSE(net.HasLink(1));
-  EXPECT_TRUE(net.HasNode(1));  // still has link 2
-  EXPECT_TRUE(net.HasNode(2));  // node removal is explicit
-  EXPECT_TRUE(net.RemoveNodeIfIsolated(2));
-  EXPECT_FALSE(net.RemoveNodeIfIsolated(1));  // not isolated
-  EXPECT_FALSE(net.RemoveNodeIfIsolated(42));  // unknown
-}
-
-TEST(NetworkTest, RemoveMissingLink) {
-  LogicalNetwork net;
-  EXPECT_TRUE(net.RemoveLink(7).IsNotFound());
+  EXPECT_EQ(LinkIds(net, 1, Direction::kOutgoing),
+            (std::vector<LinkId>{1, 2}));
+  EXPECT_EQ(LinkIds(net, 1, Direction::kIncoming), std::vector<LinkId>{3});
+  // kBoth: out-links, then in-links.
+  EXPECT_EQ(LinkIds(net, 1, Direction::kBoth),
+            (std::vector<LinkId>{1, 2, 3}));
+  EXPECT_TRUE(LinkIds(net, 99, Direction::kBoth).empty());  // unknown node
 }
 
 TEST(NetworkTest, NodesAndLinksEnumerate) {
@@ -88,9 +76,11 @@ TEST(NetworkTest, NodesAndLinksEnumerate) {
   auto nodes = net.Nodes();
   std::sort(nodes.begin(), nodes.end());
   EXPECT_EQ(nodes, (std::vector<NodeId>{1, 2, 3}));
-  auto links = net.Links();
-  std::sort(links.begin(), links.end());
-  EXPECT_EQ(links, (std::vector<LinkId>{1, 2}));
+  std::vector<NodeId> visited;
+  net.ForEachNode([&](NodeId node) { visited.push_back(node); });
+  std::sort(visited.begin(), visited.end());
+  EXPECT_EQ(visited, nodes);
+  EXPECT_EQ(net.link_count(), 2u);
 }
 
 TEST(NetworkTest, LinkLabelAndCostStored) {
@@ -104,10 +94,10 @@ TEST(NetworkTest, LinkLabelAndCostStored) {
 TEST(NetworkTest, SelfLoop) {
   LogicalNetwork net;
   ASSERT_TRUE(net.AddLink({1, 7, 7}).ok());
-  EXPECT_EQ(net.OutDegree(7), 1u);
-  EXPECT_EQ(net.InDegree(7), 1u);
-  ASSERT_TRUE(net.RemoveLink(1).ok());
-  EXPECT_TRUE(net.RemoveNodeIfIsolated(7));
+  EXPECT_EQ(net.node_count(), 1u);
+  EXPECT_EQ(LinkIds(net, 7, Direction::kOutgoing), std::vector<LinkId>{1});
+  EXPECT_EQ(LinkIds(net, 7, Direction::kIncoming), std::vector<LinkId>{1});
+  EXPECT_EQ(LinkIds(net, 7, Direction::kBoth), (std::vector<LinkId>{1, 1}));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "gen/uniprot_gen.h"
 #include "rdf/bulk_load.h"
@@ -83,6 +85,71 @@ TEST_F(StoreApiTest, ConsistencyHoldsThroughMutations) {
   EXPECT_TRUE(store_.CheckConsistency().ok());
   ASSERT_TRUE(store_.DropRdfModel("cia").ok());
   EXPECT_TRUE(store_.CheckConsistency().ok());
+}
+
+TEST_F(StoreApiTest, ConsistencyReportsEachPlantedFault) {
+  // Each fault is planted behind the store's back, through the raw
+  // central-schema tables or the link store, on a fresh two-node store.
+  auto check_after = [](const std::function<void(RdfStore&)>& fault) {
+    RdfStore store;
+    EXPECT_TRUE(store.CreateRdfModel("cia", "ciadata", "triple").ok());
+    EXPECT_TRUE(store.InsertTriple("cia", "gov:a", "gov:p", "gov:b").ok());
+    EXPECT_TRUE(store.CheckConsistency().ok());
+    fault(store);
+    return store.CheckConsistency();
+  };
+  auto first_row = [](const storage::Table& table) {
+    storage::RowId first = -1;
+    table.Scan([&](storage::RowId rid, const storage::Row&) {
+      first = rid;
+      return false;
+    });
+    return first;
+  };
+  auto expect_corruption = [](const Status& status, const std::string& what) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.ToString();
+  };
+
+  // A live link's endpoint has no rdf_node$ row.
+  expect_corruption(check_after([&](RdfStore& store) {
+                      storage::Table* nodes =
+                          store.database().GetTable("MDSYS", "RDF_NODE$");
+                      ASSERT_TRUE(nodes->Delete(first_row(*nodes)).ok());
+                    }),
+                    "has no rdf_node$ row for endpoint");
+  // An rdf_node$ row with no live link.
+  expect_corruption(
+      check_after([](RdfStore& store) {
+        ValueId unused = *store.values().LookupOrInsert(Term::Uri("gov:x"));
+        storage::Row row(2);
+        row[0] = storage::Value::Int64(unused);
+        row[1] = storage::Value::String("Y");
+        ASSERT_TRUE(store.database()
+                        .GetTable("MDSYS", "RDF_NODE$")
+                        ->Insert(std::move(row))
+                        .ok());
+      }),
+      "orphaned node");
+  // A link whose endpoint is not in rdf_value$.
+  expect_corruption(check_after([](RdfStore& store) {
+                      ValueId p = *store.values().Lookup(Term::Uri("gov:p"));
+                      ASSERT_TRUE(store.links()
+                                      .Insert(*store.GetModelId("cia"),
+                                              999999, p, 999999, 999999,
+                                              "STANDARD",
+                                              TripleContext::kDirect, false)
+                                      .ok());
+                    }),
+                    "missing VALUE_ID 999999");
+  // The quad cache and rdf_link$ disagree on the live triple count.
+  expect_corruption(check_after([&](RdfStore& store) {
+                      storage::Table* links =
+                          store.database().GetTable("MDSYS", "RDF_LINK$");
+                      ASSERT_TRUE(links->Delete(first_row(*links)).ok());
+                    }),
+                    "quad cache has 1 live triples, rdf_link$ has 0");
 }
 
 TEST_F(StoreApiTest, ModelAccessGrants) {
@@ -168,8 +235,11 @@ TEST_P(RandomWorkloadTest, DeleteEverythingLeavesCleanStore) {
                     .ok());
   }
   EXPECT_EQ(store.links().TotalTripleCount(), 0u);
+  EXPECT_EQ(store.database().GetTable("MDSYS", "RDF_NODE$")->row_count(), 0u);
+  size_t nodes = 0;
+  store.network().ForEachNode([&](ndm::NodeId) { ++nodes; });
+  EXPECT_EQ(nodes, 0u);
   EXPECT_EQ(store.network().link_count(), 0u);
-  EXPECT_EQ(store.network().node_count(), 0u);
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 

@@ -8,8 +8,10 @@
 // same outcome on both, including the LINK_ID it returns. After every
 // checkpoint and reopen, and every few operations in between, the
 // whole state must agree too: each model's triples with their
-// reference counts, contexts and LINK_IDs, the model statistics, point
-// reads, and SDO_RDF_MATCH over random patterns.
+// reference counts, contexts and LINK_IDs, the model statistics, the
+// NDM network, point reads, and SDO_RDF_MATCH over random patterns.
+// Now and then a mutation gets a term no parser accepts; a call that
+// fails must leave both sides unchanged, also across a reopen.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "ndm/network.h"
 #include "query/match.h"
 #include "rdf/redo_log.h"
 #include "reference_model.h"
@@ -47,6 +50,9 @@ const std::vector<std::string> kObjects = {
     "\"01\"^^<http://www.w3.org/2001/XMLSchema#integer>",
     "\"1\"^^<http://www.w3.org/2001/XMLSchema#integer>",
 };
+
+/// Terms that fail to parse in any position.
+const std::vector<std::string> kUnparseable = {"", "_:", "<>", "\"open"};
 
 /// One stored triple in comparable form.
 using TripleRow = std::tuple<std::string, std::string, std::string, LinkId,
@@ -75,6 +81,11 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     return pool[rng_() % pool.size()];
   }
 
+  /// A term from `pool`, or now and then one that does not parse.
+  const std::string& Draw(const std::vector<std::string>& pool) {
+    return rng_() % 16 == 0 ? Pick(kUnparseable) : Pick(pool);
+  }
+
   /// A live triple of `model` in the reference (nullopt if none).
   std::optional<RefTriple> PickTriple(const std::string& model) {
     auto triples = reference_.Triples(model);
@@ -90,13 +101,16 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
         << want.ToString() << "'";
   }
 
+  /// Returns the store's status.
   template <typename T>
-  static void ExpectSameLink(const Result<SdoRdfTripleS>& got,
-                             const Result<T>& want, const std::string& what) {
+  static Status ExpectSameLink(const Result<SdoRdfTripleS>& got,
+                               const Result<T>& want,
+                               const std::string& what) {
     ExpectSameStatus(got.status(), want.status(), what);
     if (got.ok() && want.ok()) {
       EXPECT_EQ(got->rdf_t_id(), *want) << what;
     }
+    return got.status();
   }
 
   std::vector<TripleRow> StoreRows(ModelId model_id) {
@@ -129,8 +143,60 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     return rows;
   }
 
+  using NetLink = std::tuple<ndm::LinkId, ndm::NodeId, ndm::NodeId, int64_t>;
+
+  /// (id, start, end, label) of the links at `node`, sorted.
+  static std::vector<NetLink> LinksAt(const ndm::Network& net,
+                                      ndm::NodeId node,
+                                      ndm::Direction direction) {
+    std::vector<NetLink> links;
+    net.ForEachLink(node, direction, [&](const ndm::Link& link) {
+      links.emplace_back(link.id, link.start, link.end, link.label);
+    });
+    std::sort(links.begin(), links.end());
+    return links;
+  }
+
+  /// The store's NDM network must be the reference's live triples: the
+  /// same node set, and per node the same out- and in-links.
+  void ExpectSameNetwork() {
+    const RdfStore& store = store_->store();
+    ndm::LogicalNetwork want;
+    for (const std::string& model : reference_.ModelNames()) {
+      auto model_id = store.GetModelId(model);
+      auto triples = reference_.Triples(model);
+      ASSERT_TRUE(model_id.ok() && triples.ok());
+      auto id = [&](const Term& term) {
+        return store.LookupTerm(*model_id, term).value_or(-1);
+      };
+      for (const RefTriple& t : **triples) {
+        ASSERT_TRUE(
+            want.AddLink({t.link, id(t.s), id(t.o), 1.0, id(t.p)}).ok());
+      }
+    }
+    const ndm::Network& got = store.network();
+    std::vector<ndm::NodeId> got_nodes;
+    got.ForEachNode([&](ndm::NodeId node) { got_nodes.push_back(node); });
+    std::sort(got_nodes.begin(), got_nodes.end());
+    std::vector<ndm::NodeId> want_nodes = want.Nodes();
+    std::sort(want_nodes.begin(), want_nodes.end());
+    ASSERT_EQ(got_nodes, want_nodes);
+    EXPECT_EQ(got.node_count(), want.node_count());
+    EXPECT_EQ(got.link_count(), want.link_count());
+    for (ndm::NodeId node : want_nodes) {
+      EXPECT_TRUE(got.HasNode(node)) << node;
+      for (ndm::Direction direction :
+           {ndm::Direction::kOutgoing, ndm::Direction::kIncoming}) {
+        EXPECT_EQ(LinksAt(got, node, direction),
+                  LinksAt(want, node, direction))
+            << "node " << node;
+      }
+    }
+  }
+
   /// Whole-state agreement: models, triples (with COST, CONTEXT and
-  /// LINK_ID), statistics, and the store's own invariants.
+  /// LINK_ID), statistics, the NDM network, and the store's own
+  /// invariants.
   void ExpectSameState(const std::string& when) {
     SCOPED_TRACE(when);
     const RdfStore& store = store_->store();
@@ -154,8 +220,18 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
       EXPECT_EQ(stats->reified_statements, want->reified_statements);
       EXPECT_EQ(stats->implied_statements, want->implied_statements);
     }
+    ExpectSameNetwork();
     Status consistent = store.CheckConsistency();
     EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+  }
+
+  /// A mutation that failed on both sides must have changed neither,
+  /// and the store must still reopen to the model's state.
+  void ExpectUnchangedAfterFailure(const std::string& what) {
+    ExpectSameState(what + " failed");
+    Reopen();
+    ASSERT_TRUE(reference_.Recover().ok()) << what;
+    ExpectSameState(what + " failed, reopened");
   }
 
   void ExpectSamePointReads() {
@@ -241,14 +317,16 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
   /// One random operation against both sides.
   void Step(int step) {
     const std::string& model = Pick(kModels);
-    const std::string& s = Pick(kSubjects);
-    const std::string& p = Pick(kPredicates);
-    const std::string& o = Pick(kObjects);
+    const std::string& s = Draw(kSubjects);
+    const std::string& p = Draw(kPredicates);
+    const std::string& o = Draw(kObjects);
     const std::string what = "step " + std::to_string(step);
     const uint64_t roll = rng_() % 100;
+    Status mutation = Status::OK();  // the store's status for a mutation
     if (roll < 30) {
-      ExpectSameLink(store_->InsertTriple(model, s, p, o),
-                     reference_.Insert(model, s, p, o), what + " insert");
+      mutation = ExpectSameLink(store_->InsertTriple(model, s, p, o),
+                                reference_.Insert(model, s, p, o),
+                                what + " insert");
     } else if (roll < 45) {
       // Mostly a stored triple (reifications and assertions included),
       // sometimes a random one that is likely absent.
@@ -257,34 +335,38 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
       const std::string ds = victim ? victim->s.ToNTriples() : s;
       const std::string dp = victim ? victim->p.ToNTriples() : p;
       const std::string dobj = victim ? victim->o.ToNTriples() : o;
-      ExpectSameStatus(store_->DeleteTriple(model, ds, dp, dobj),
-                       reference_.Delete(model, ds, dp, dobj),
+      mutation = store_->DeleteTriple(model, ds, dp, dobj);
+      ExpectSameStatus(mutation, reference_.Delete(model, ds, dp, dobj),
                        what + " delete");
     } else if (roll < 55) {
-      if (std::optional<RefTriple> base = PickTriple(model)) {
-        ExpectSameLink(store_->ReifyTriple(model, base->link),
-                       reference_.Reify(model, base->link),
-                       what + " reify");
+      // The base may live in another model, which both sides reject.
+      if (std::optional<RefTriple> base = PickTriple(Pick(kModels))) {
+        mutation = ExpectSameLink(store_->ReifyTriple(model, base->link),
+                                  reference_.Reify(model, base->link),
+                                  what + " reify");
       }
     } else if (roll < 65) {
-      if (std::optional<RefTriple> base = PickTriple(model)) {
-        ExpectSameLink(store_->AssertAboutTriple(model, s, p, base->link),
-                       reference_.AssertAbout(model, s, p, base->link),
-                       what + " assert");
+      if (std::optional<RefTriple> base = PickTriple(Pick(kModels))) {
+        mutation = ExpectSameLink(
+            store_->AssertAboutTriple(model, s, p, base->link),
+            reference_.AssertAbout(model, s, p, base->link),
+            what + " assert");
       }
     } else if (roll < 73) {
-      const std::string& reif_s = Pick(kSubjects);
-      ExpectSameLink(
+      const std::string& reif_s = Draw(kSubjects);
+      mutation = ExpectSameLink(
           store_->AssertImplied(model, reif_s, "<urn:says>", s, p, o),
           reference_.AssertImplied(model, reif_s, "<urn:says>", s, p, o),
           what + " assert implied");
     } else if (roll < 77) {
-      ExpectSameStatus(
-          store_->CreateRdfModel(model, model + "_app", "triple").status(),
-          reference_.CreateModel(model), what + " create");
+      mutation =
+          store_->CreateRdfModel(model, model + "_app", "triple").status();
+      ExpectSameStatus(mutation, reference_.CreateModel(model),
+                       what + " create");
     } else if (roll < 79) {
-      ExpectSameStatus(store_->DropRdfModel(model),
-                       reference_.DropModel(model), what + " drop");
+      mutation = store_->DropRdfModel(model);
+      ExpectSameStatus(mutation, reference_.DropModel(model),
+                       what + " drop");
     } else if (roll < 83) {
       ASSERT_TRUE(store_->Checkpoint().ok()) << what;
       reference_.Checkpoint();
@@ -298,6 +380,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     } else {
       ExpectSamePointReads();
     }
+    if (!mutation.ok() && !HasFailure()) ExpectUnchangedAfterFailure(what);
   }
 
   test::TestTempDir temp_;
