@@ -30,11 +30,8 @@ namespace {
 
 using query::CompiledPlan;
 using query::CompilePatterns;
-using query::EvalOptions;
-using query::EvalPatterns;
 using query::ExecOptions;
 using query::ExecutePlan;
-using query::IdBindings;
 using query::ModelSource;
 using query::ParsePatterns;
 using query::TriplePattern;
@@ -52,17 +49,16 @@ void RunPlanBench(benchmark::State& state, bool reorder) {
     return;
   }
   ModelSource source(sys.store.get(), {sys.load.model.model_id});
-  EvalOptions options;
-  options.reorder_patterns = reorder;
   size_t solutions = 0;
   for (auto _ : state) {
     size_t n = 0;
-    Status st = EvalPatterns(*sys.store, *patterns, nullptr, source,
-                             [&](const IdBindings&) {
-                               ++n;
-                               return true;
-                             },
-                             options);
+    CompiledPlan plan = CompilePatterns(*sys.store, *patterns, nullptr,
+                                        source, reorder, nullptr);
+    Status st = ExecutePlan(*sys.store, plan, source,
+                            [&](const rdf::ValueId*) {
+                              ++n;
+                              return true;
+                            });
     if (!st.ok()) state.SkipWithError("eval failed");
     solutions = n;
     benchmark::DoNotOptimize(n);

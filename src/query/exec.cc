@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "obs/active_ops.h"
 #include "obs/resource_tracker.h"
+#include "obs/store_metrics.h"
 #include "obs/trace.h"
 #include "query/rules_index.h"
 #include "rdf/canonical.h"
@@ -88,12 +89,6 @@ Result<bool> EvalCompiledFilter(const StoreView& store,
   return false;
 }
 
-/// The leaf-scan view backing StepRunner's fast path: valid when the
-/// source is a plain single-model store scan.
-rdf::LinkStore::LeafScan LeafFor(const TripleSource& source) {
-  return source.DirectLeaf();
-}
-
 /// Depth-first streaming join over a step range. One instance per
 /// thread; `slots` is the caller's frame, overwritten in place (a bind
 /// slot is rewritten on the next row of its own step before any deeper
@@ -101,13 +96,15 @@ rdf::LinkStore::LeafScan LeafFor(const TripleSource& source) {
 class StepRunner {
  public:
   StepRunner(const StoreView& store, const CompiledPlan& plan,
-             const TripleSource& source, rdf::LinkStore::LeafScan leaf,
-             ExecCounters* counters, const std::atomic<bool>* cancel,
-             const CancelToken* token)
+             const TripleSource& source, ExecCounters* counters,
+             const std::atomic<bool>* cancel, const CancelToken* token)
       : store_(store),
         plan_(plan),
         source_(source),
-        leaf_(leaf),
+        leaf_(source.DirectLeaf()),
+        scans_(store.metrics() != nullptr
+                   ? store.metrics()->link_rows_scanned
+                   : nullptr),
         counters_(counters),
         cancel_(cancel),
         token_(token) {}
@@ -190,148 +187,24 @@ class StepRunner {
     return Descend(i + 1);
   }
 
-  /// Returns false to unwind (stop or error).
+  /// Returns false to unwind (stop or error). A step over one model's
+  /// cache runs the LinkStore kernel with OnRow inlined; any other
+  /// source goes through its virtual Match.
   bool Descend(size_t i) {
-    if (leaf_.valid()) return DescendLeaf(i);
-    const ExecStep& step = plan_.steps[i];
-    source_.Match(Constraint(step.s), Constraint(step.p), Constraint(step.o),
-                  [&](const IdTriple& t) {
-                    return OnRow(i, t.s, t.p, t.canon_o);
-                  });
-    return !stop_ && status_.ok();
-  }
-
-  /// Leaf fast path: drive this step's scan off the store's id-native
-  /// quad cache directly — no virtual Match, no per-row std::function.
-  /// Residual checks and scan accounting mirror MatchEachIds exactly:
-  /// the store-level rows-scanned metric counts every visited posting
-  /// row, while the exec counter (in OnRow) counts rows that survive
-  /// the residual constraints.
-  /// Minimum driven-list size before a posting-list intersection
-  /// gallops instead of residual-filtering (see pair_scan below).
-  static constexpr uint32_t kGallopMinDriven = 4096;
-
-  bool DescendLeaf(size_t i) {
     const ExecStep& step = plan_.steps[i];
     const std::optional<ValueId> s = Constraint(step.s);
     const std::optional<ValueId> p = Constraint(step.p);
     const std::optional<ValueId> o = Constraint(step.o);
-    const rdf::LinkStore::IdQuad* quads = leaf_.quads();
-
-    // Residual compares double as the tombstone guard: a deleted
-    // quad's ids are all -1 and no query carries a negative id.
-    auto scan_list = [&](const uint32_t* rows, uint32_t n) {
-      uint32_t visited = 0;
-      for (uint32_t r = 0; r < n; ++r) {
-        const rdf::LinkStore::IdQuad& q = quads[rows[r]];
-        ++visited;
-        if (s.has_value() && q.s != *s) continue;
-        if (p.has_value() && q.p != *p) continue;
-        if (o.has_value() && q.canon_o != *o) continue;
-        if (!OnRow(i, q.s, q.p, q.canon_o)) break;
-      }
-      leaf_.CountScanned(visited);
-    };
-
-    // Decode one compressed posting list, residual-filtering each quad.
-    auto scan_cursor = [&](const rdf::codec::PostingList& list) {
-      uint32_t visited = 0;
-      list.ForEach([&](uint32_t row) {
-        const rdf::LinkStore::IdQuad& q = quads[row];
-        ++visited;
-        if (s.has_value() && q.s != *s) return true;
-        if (p.has_value() && q.p != *p) return true;
-        if (o.has_value() && q.canon_o != *o) return true;
-        return OnRow(i, q.s, q.p, q.canon_o);
-      });
-      leaf_.CountScanned(visited);
-    };
-
-    // Galloping intersection of two posting lists: drive the shorter,
-    // skip the longer via its block index. Worth it only when both
-    // lists are non-trivial — a SkipTo decodes up to one 64-entry
-    // block, while a residual compare on the driven list is O(1).
-    auto gallop = [&](const rdf::codec::PostingList& a_list,
-                      const rdf::codec::PostingList& b_list) {
-      const bool a_short = a_list.size() <= b_list.size();
-      rdf::codec::PostingList::Cursor a(a_short ? a_list : b_list);
-      rdf::codec::PostingList::Cursor b(a_short ? b_list : a_list);
-      uint32_t visited = 0;
-      while (!a.AtEnd() && b.SkipTo(a.Value())) {
-        ++visited;
-        if (b.Value() == a.Value()) {
-          const rdf::LinkStore::IdQuad& q = quads[a.Value()];
-          if ((!s.has_value() || q.s == *s) &&
-              (!p.has_value() || q.p == *p) &&
-              (!o.has_value() || q.canon_o == *o)) {
-            if (!OnRow(i, q.s, q.p, q.canon_o)) break;
-          }
-        }
-        a.Next();
-      }
-      leaf_.CountScanned(visited);
-    };
-
-    // Pick the two lists' access path. Posting values are quad
-    // indexes, so membership in the longer list is equivalent to a
-    // residual field compare on the quad itself — decoding the shorter
-    // list and filtering costs one (random) quad load per candidate.
-    // Galloping the longer list instead pays a block decode per
-    // candidate but skips the quad load on misses, so it only wins
-    // when the driven list is big enough for those loads to dominate
-    // AND the longer list is sparse relative to it (a dense longer
-    // list means near-every candidate hits and the quad gets loaded
-    // anyway, making the block decodes pure overhead).
-    auto pair_scan = [&](const rdf::codec::PostingList* x,
-                         const rdf::codec::PostingList* y) {
-      if (x == nullptr || y == nullptr) return;
-      const uint32_t short_n = std::min(x->size(), y->size());
-      const uint32_t long_n = std::max(x->size(), y->size());
-      if (short_n > kGallopMinDriven && long_n / 8 > short_n) {
-        gallop(*x, *y);
-      } else {
-        scan_cursor(x->size() <= y->size() ? *x : *y);
-      }
-    };
-
-    if (s.has_value() && p.has_value()) {
-      rdf::LinkStore::SpMap::Hit hit = leaf_.ProbeSp(*s, *p);
-      if (hit.n == 1) {
-        // Single-row (s, p) group: the answer is inline in the hash
-        // slot — no posting list or quad array touch at all.
-        leaf_.CountScanned(1);
-        if (!o.has_value() || hit.canon_o == *o) {
-          OnRow(i, *s, *p, hit.canon_o);
-        }
-      } else if (hit.n > 1) {
-        scan_list(hit.list, hit.n);
-      }
-    } else if (s.has_value() && o.has_value()) {
-      pair_scan(leaf_.PostingsS(*s), leaf_.PostingsCanon(*o));
-    } else if (p.has_value() && o.has_value()) {
-      pair_scan(leaf_.PostingsP(*p), leaf_.PostingsCanon(*o));
-    } else if (s.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsS(*s)) {
-        scan_cursor(*rows);
-      }
-    } else if (o.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsCanon(*o)) {
-        scan_cursor(*rows);
-      }
-    } else if (p.has_value()) {
-      if (const rdf::codec::PostingList* rows = leaf_.PostingsP(*p)) {
-        scan_cursor(*rows);
-      }
+    if (leaf_ != nullptr) {
+      rdf::LinkStore::Scan(
+          *leaf_, s, p, o, scans_,
+          [&](uint32_t, ValueId qs, ValueId qp, ValueId, ValueId qc) {
+            return OnRow(i, qs, qp, qc);
+          });
     } else {
-      const uint32_t n = leaf_.quad_count();
-      uint32_t visited = 0;
-      for (uint32_t r = 0; r < n; ++r) {
-        const rdf::LinkStore::IdQuad& q = quads[r];
-        ++visited;
-        if (q.link_id < 0) continue;  // tombstoned
-        if (!OnRow(i, q.s, q.p, q.canon_o)) break;
-      }
-      leaf_.CountScanned(visited);
+      source_.Match(s, p, o, [&](const IdTriple& t) {
+        return OnRow(i, t.s, t.p, t.canon_o);
+      });
     }
     return !stop_ && status_.ok();
   }
@@ -339,7 +212,8 @@ class StepRunner {
   const StoreView& store_;
   const CompiledPlan& plan_;
   const TripleSource& source_;
-  rdf::LinkStore::LeafScan leaf_;
+  const rdf::LinkStore::ModelIdCache* leaf_;
+  obs::Counter* scans_;
   ExecCounters* counters_;
   const std::atomic<bool>* cancel_;
   const CancelToken* token_;
@@ -357,8 +231,7 @@ Status ExecuteSequential(const StoreView& store, const CompiledPlan& plan,
                          obs::QueryTrace* trace, const CancelToken* token) {
   ExecCounters counters(plan.steps.size());
   std::vector<ValueId> slots(std::max<size_t>(plan.slot_count(), 1), 0);
-  StepRunner runner(store, plan, source, LeafFor(source), &counters, nullptr,
-                    token);
+  StepRunner runner(store, plan, source, &counters, nullptr, token);
   Status status =
       runner.Run(0, plan.steps.size() - 1, slots.data(), fn);
   FlushCounters(trace, plan, counters);
@@ -382,7 +255,6 @@ Status ExecuteParallel(const StoreView& store, const CompiledPlan& plan,
                        const CancelToken* token) {
   const size_t nslots = plan.slot_count();
   const size_t last = plan.steps.size() - 1;
-  const rdf::LinkStore::LeafScan leaf = LeafFor(source);
   ExecCounters counters(plan.steps.size());
 
   // Phase A: run step 0 alone, collecting binding frames.
@@ -391,7 +263,7 @@ Status ExecuteParallel(const StoreView& store, const CompiledPlan& plan,
   {
     obs::TimelineScope outer_span(timeline, "outer_scan", "exec", /*lane=*/0);
     std::vector<ValueId> slots(std::max<size_t>(nslots, 1), 0);
-    StepRunner outer(store, plan, source, leaf, &counters, nullptr, token);
+    StepRunner outer(store, plan, source, &counters, nullptr, token);
     Status status = outer.Run(0, 0, slots.data(), [&](const ValueId* s) {
       frames.insert(frames.end(), s, s + nslots);
       ++frame_count;
@@ -438,8 +310,7 @@ Status ExecuteParallel(const StoreView& store, const CompiledPlan& plan,
                                  "chunk " + std::to_string(k));
     ChunkOut out{{}, 0, ExecCounters(plan.steps.size()), worker, 0};
     std::vector<ValueId> slots(std::max<size_t>(nslots, 1), 0);
-    StepRunner runner(store, plan, source, leaf, &out.counters, &cancel,
-                      token);
+    StepRunner runner(store, plan, source, &out.counters, &cancel, token);
     const size_t begin = k * per_chunk;
     const size_t end = std::min(begin + per_chunk, frame_count);
     for (size_t f = begin; f < end; ++f) {

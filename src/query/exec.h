@@ -10,8 +10,10 @@
 // filter mentions). ExecOptions::threads partitions the outermost
 // pattern's matches across a worker pool with ordered consumption (the
 // bulk loader's pipeline shape), keeping row order and therefore
-// DISTINCT/LIMIT semantics bit-identical to the sequential run. See
-// DESIGN.md §9.
+// DISTINCT/LIMIT semantics bit-identical to the sequential run. A step
+// over one model's quad cache calls LinkStore::Scan, the access-path
+// kernel, with the join body inlined; this module never sees the
+// posting format. See DESIGN.md §9.
 
 #ifndef RDFDB_QUERY_EXEC_H_
 #define RDFDB_QUERY_EXEC_H_

@@ -81,11 +81,11 @@ struct MatchOptions {
   /// Stop after this many rows (0 = unlimited).
   size_t limit = 0;
   /// Worker threads for the compiled join executor (see
-  /// EvalOptions::threads): 1 = sequential, 0 = one per hardware thread
+  /// ExecOptions::threads): 1 = sequential, 0 = one per hardware thread
   /// (capped). Rows and row order are identical at any count.
   unsigned threads = 1;
   /// Outer frames per parallel work chunk (see
-  /// EvalOptions::chunk_frames); results are identical at any size.
+  /// ExecOptions::chunk_frames); results are identical at any size.
   size_t chunk_frames = 512;
   /// EXPLAIN ANALYZE hook: when non-null, SdoRdfMatch resets the trace
   /// and fills it with the chosen plan, per-pattern scan/emit counts,

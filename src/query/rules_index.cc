@@ -122,13 +122,16 @@ void ModelSource::Match(std::optional<ValueId> s, std::optional<ValueId> p,
                         std::optional<ValueId> canon_o,
                         const std::function<bool(const IdTriple&)>& fn)
     const {
+  obs::StoreMetrics* metrics = store_->metrics();
+  obs::Counter* scans =
+      metrics != nullptr ? metrics->link_rows_scanned : nullptr;
   for (ModelId model : models_) {
+    const rdf::LinkStore::ModelIdCache* cache = store_->CacheFor(model);
+    if (cache == nullptr) continue;
     bool keep_going = true;
-    // Id-only scan: the join only consumes VALUE_IDs, so skip the
-    // LinkRow materialization (string columns) per matched row.
-    store_->MatchEachIds(
-        model, s, p, canon_o,
-        [&](ValueId ts, ValueId tp, ValueId to, ValueId tco) {
+    rdf::LinkStore::Scan(
+        *cache, s, p, canon_o, scans,
+        [&](uint32_t, ValueId ts, ValueId tp, ValueId to, ValueId tco) {
           keep_going = fn(IdTriple{ts, tp, to, tco});
           return keep_going;
         });
@@ -136,9 +139,8 @@ void ModelSource::Match(std::optional<ValueId> s, std::optional<ValueId> p,
   }
 }
 
-rdf::LinkStore::LeafScan ModelSource::DirectLeaf() const {
-  if (models_.size() != 1) return {};
-  return store_->Leaf(models_.front());
+const rdf::LinkStore::ModelIdCache* ModelSource::DirectLeaf() const {
+  return models_.size() == 1 ? store_->CacheFor(models_.front()) : nullptr;
 }
 
 void UnionSource::Match(std::optional<ValueId> s, std::optional<ValueId> p,
@@ -155,33 +157,8 @@ void UnionSource::Match(std::optional<ValueId> s, std::optional<ValueId> p,
   }
 }
 
-Status EvalPatterns(const rdf::StoreView& store,
-                    const std::vector<TriplePattern>& patterns,
-                    const FilterExpr* filter, const TripleSource& source,
-                    const std::function<bool(const IdBindings&)>& fn,
-                    const EvalOptions& options) {
-  // The always-true filter can never reject a row; dropping it here
-  // skips the per-row term materialisation the filter loop would do.
-  if (filter != nullptr && filter->IsAlwaysTrue()) filter = nullptr;
-  CompiledPlan plan =
-      CompilePatterns(store, patterns, filter, source,
-                      options.reorder_patterns, options.trace);
-  ExecOptions exec_options;
-  exec_options.threads = options.threads;
-  exec_options.chunk_frames = options.chunk_frames;
-  exec_options.trace = options.trace;
-  exec_options.cancel = options.cancel;
-  const size_t slot_count = plan.slot_count();
-  return ExecutePlan(
-      store, plan, source,
-      [&](const ValueId* slots) {
-        IdBindings binding;
-        for (size_t i = 0; i < slot_count; ++i) {
-          binding.emplace(plan.vars[i], slots[i]);
-        }
-        return fn(binding);
-      },
-      exec_options);
+const rdf::LinkStore::ModelIdCache* UnionSource::DirectLeaf() const {
+  return sources_.size() == 1 ? sources_.front()->DirectLeaf() : nullptr;
 }
 
 Result<TripleSet> ComputeEntailment(
@@ -236,15 +213,19 @@ Result<TripleSet> ComputeEntailment(
     std::vector<IdTriple> pending;
 
     for (const CompiledRule& rule : compiled) {
-      Status status = EvalPatterns(
-          *store, rule.antecedent, rule.filter.get(), all,
-          [&](const IdBindings& binding) {
-            // Instantiate the consequent.
+      CompiledPlan plan =
+          CompilePatterns(*store, rule.antecedent, rule.filter.get(), all,
+                          /*reorder_patterns=*/true, /*trace=*/nullptr);
+      Status status = ExecutePlan(
+          *store, plan, all, [&](const ValueId* slots) {
+            // Instantiate the consequent. Rule validation guarantees
+            // each of its variables occurs in the antecedent, so every
+            // one has a slot.
             auto instantiate =
                 [&](const PatternNode& node,
                     bool object_position) -> Result<ValueId> {
               if (node.is_variable) {
-                return binding.at(node.variable);
+                return slots[plan.SlotOf(node.variable)];
               }
               Term term = object_position ? rdf::CanonicalForm(node.term)
                                           : node.term;

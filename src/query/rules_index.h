@@ -3,15 +3,15 @@
 // "A rules index pre-computes triples that can be inferred from applying
 // the rulebases" (CREATE_RULES_INDEX in the paper). This module holds the
 // forward-chaining engine that computes the closure, the in-memory
-// indexed triple set it produces, and the generic pattern evaluator that
-// both the chaining loop and SDO_RDF_MATCH use.
+// indexed triple set it produces, and the triple sources that both the
+// chaining loop and SDO_RDF_MATCH run the compiled executor
+// (query/exec.h) over.
 
 #ifndef RDFDB_QUERY_RULES_INDEX_H_
 #define RDFDB_QUERY_RULES_INDEX_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,11 +19,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "obs/trace.h"
-#include "query/filter.h"
 #include "query/rulebase.h"
 #include "query/sparql_pattern.h"
 #include "rdf/rdf_store.h"
@@ -54,14 +51,15 @@ class TripleSource {
       std::optional<rdf::ValueId> canon_o,
       const std::function<bool(const IdTriple&)>& fn) const = 0;
 
-  /// Compiled-executor leaf hook: when this source is a plain
-  /// single-model store scan, returns a LeafScan view of that model's
-  /// id-native quad cache, letting the executor probe it directly with
-  /// no virtual dispatch or per-row callback. Sources with composite
-  /// semantics (unions, in-memory sets, multi-model scans) return an
-  /// invalid scan and are driven through Match; results are identical
-  /// either way.
-  virtual rdf::LinkStore::LeafScan DirectLeaf() const { return {}; }
+  /// Compiled-executor leaf hook: when this source is exactly one
+  /// model's quad cache, returns it, and the executor runs
+  /// LinkStore::Scan on it with the row body inlined instead of a
+  /// virtual Match and a std::function per row. Other sources (in-memory
+  /// sets, multi-model scans, unions with a rules index) return null and
+  /// are driven through Match; results are identical either way.
+  virtual const rdf::LinkStore::ModelIdCache* DirectLeaf() const {
+    return nullptr;
+  }
 };
 
 /// In-memory indexed triple collection (deduplicated on (s, p, o)).
@@ -99,7 +97,7 @@ class ModelSource final : public TripleSource {
              std::optional<rdf::ValueId> canon_o,
              const std::function<bool(const IdTriple&)>& fn) const override;
 
-  rdf::LinkStore::LeafScan DirectLeaf() const override;
+  const rdf::LinkStore::ModelIdCache* DirectLeaf() const override;
 
  private:
   const rdf::StoreView* store_;
@@ -116,55 +114,12 @@ class UnionSource final : public TripleSource {
              std::optional<rdf::ValueId> canon_o,
              const std::function<bool(const IdTriple&)>& fn) const override;
 
+  /// A one-source union is that source.
+  const rdf::LinkStore::ModelIdCache* DirectLeaf() const override;
+
  private:
   std::vector<const TripleSource*> sources_;
 };
-
-/// Variable bindings as VALUE_IDs during join execution.
-using IdBindings = std::map<std::string, rdf::ValueId>;
-
-/// Join-execution tuning knobs.
-struct EvalOptions {
-  /// Reorder patterns by estimated selectivity before joining: patterns
-  /// with more constants run first, then patterns connected to
-  /// already-bound variables (avoiding cross products). Results are
-  /// identical either way; only the work per solution changes.
-  bool reorder_patterns = true;
-
-  /// Worker threads for the executor's outer-pattern partition: 1 =
-  /// sequential, 0 = one per hardware thread (capped). Row order and
-  /// results are identical at any thread count.
-  unsigned threads = 1;
-
-  /// Outer frames per parallel work chunk. Smaller chunks spread skewed
-  /// outer bindings across workers at the cost of more hand-off;
-  /// results are identical at any size.
-  size_t chunk_frames = 512;
-
-  /// When non-null, EvalPatterns appends one PatternTrace per executed
-  /// pattern (scan/emit counts in execution order) and accumulates the
-  /// plan order, dictionary-probe tallies, filter counts and plan wall
-  /// time into this trace. Counts accumulate — SdoRdfMatch resets the
-  /// trace once per query; direct callers reset it themselves.
-  obs::QueryTrace* trace = nullptr;
-
-  /// Cooperative cancellation token, polled by the executor at its
-  /// row-loop checkpoints (see query/exec.h). A fired token unwinds
-  /// with DeadlineExceeded/Cancelled; trace counts flushed so far
-  /// remain valid. Null disables the path.
-  const CancelToken* cancel = nullptr;
-};
-
-/// Evaluate a pattern list against `source`; calls `fn` once per
-/// solution. Compiles the patterns to the slot-based streaming executor
-/// (query/exec.h) and builds one IdBindings map per solution. `filter` (nullable) rejects solutions, with the terms it
-/// references resolved through `store`. Return false from `fn` to stop
-/// early — the stop unwinds out of the innermost scan.
-Status EvalPatterns(const rdf::StoreView& store,
-                    const std::vector<TriplePattern>& patterns,
-                    const FilterExpr* filter, const TripleSource& source,
-                    const std::function<bool(const IdBindings&)>& fn,
-                    const EvalOptions& options = {});
 
 /// Materialized entailment over a model list + rulebase list.
 class RulesIndex {

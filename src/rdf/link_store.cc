@@ -303,15 +303,6 @@ void LinkStore::ModelIdCache::RecomputePostingBytes() {
   }
 }
 
-LinkStore::LeafScan LinkStore::Leaf(int64_t model_id) const {
-  LeafScan leaf;
-  auto it = id_cache_.find(model_id);
-  if (it == id_cache_.end()) return leaf;
-  leaf.cache_ = it->second.get();
-  leaf.scans_ = metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr;
-  return leaf;
-}
-
 LinkStore::ModelIdCache& LinkStore::MutableCache(int64_t model_id) {
   std::shared_ptr<ModelIdCache>& slot = id_cache_[model_id];
   if (slot == nullptr) {
@@ -415,20 +406,18 @@ ValueId LinkStore::CanonicalNodeId(ValueId node) const {
 bool LinkStore::VisitQuads(
     ValueId node, ValueId canon, ndm::Direction direction,
     const std::function<bool(const IdQuad&)>& fn) const {
-  // Posting lists may name tombstoned quads, whose -1 ids never equal
-  // `node`, so the position check also skips the dead.
   auto scan = [&](bool out) {
+    const std::optional<ValueId> s = out ? std::optional(node) : std::nullopt;
+    const std::optional<ValueId> o = out ? std::nullopt : std::optional(canon);
     for (const auto& [model_id, cache] : id_cache_) {
       (void)model_id;
-      const PostingMap& postings = out ? cache->by_s : cache->by_canon;
-      auto it = postings.find(out ? node : canon);
-      if (it == postings.end()) continue;
       bool more = true;
-      it->second.ForEach([&](uint32_t idx) {
-        const IdQuad& q = cache->quads[idx];
-        if ((out ? q.s : q.o) == node) more = fn(q);
-        return more;
-      });
+      Scan(*cache, s, std::nullopt, o, /*scans=*/nullptr,
+           [&](uint32_t idx, ValueId, ValueId, ValueId qo, ValueId) {
+             // by_canon also holds the other lexical forms of `canon`.
+             if (!out && qo != node) return true;
+             return more = fn(cache->quads[idx]);
+           });
       if (!more) return false;
     }
     return true;
@@ -708,133 +697,17 @@ std::vector<LinkRow> LinkStore::Match(int64_t model_id,
   return out;
 }
 
-void LinkStore::MatchRows(
-    int64_t model_id, std::optional<ValueId> s, std::optional<ValueId> p,
-    std::optional<ValueId> canon_o,
-    const std::function<bool(const Row&)>& fn) const {
-  if (!s.has_value() && !p.has_value() && !canon_o.has_value()) {
-    // Fully unbound: partition scan over the model, no cache needed.
-    links_->ScanPartition(Value::Int64(model_id),
-                          [&](storage::RowId, const Row& row) {
-                            if (row[kModelId].as_int64() != model_id) {
-                              return true;
-                            }
-                            if (metrics_ != nullptr) {
-                              metrics_->link_rows_scanned->Inc();
-                            }
-                            return fn(row);
-                          });
-    return;
-  }
-  auto mit = id_cache_.find(model_id);
-  if (mit == id_cache_.end()) return;
-  const ModelIdCache& cache = *mit->second;
-  MatchCacheIndexes(
-      cache, s, p, canon_o,
-      [&](uint32_t idx) { return fn(*links_->Get(cache.row_ids[idx])); },
-      metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr);
-}
-
 void LinkStore::MatchEach(
     int64_t model_id, std::optional<ValueId> s, std::optional<ValueId> p,
     std::optional<ValueId> canon_o,
     const std::function<bool(const LinkRow&)>& fn) const {
-  MatchRows(model_id, s, p, canon_o,
-            [&](const Row& row) { return fn(RowToLink(row)); });
-}
-
-void LinkStore::MatchEachIds(
-    int64_t model_id, std::optional<ValueId> s, std::optional<ValueId> p,
-    std::optional<ValueId> canon_o,
-    const std::function<bool(ValueId, ValueId, ValueId, ValueId)>& fn)
-    const {
-  auto mit = id_cache_.find(model_id);
-  if (mit == id_cache_.end()) return;
-  MatchCache(*mit->second, s, p, canon_o, fn,
-             metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr);
-}
-
-void LinkStore::MatchCache(
-    const ModelIdCache& cache, std::optional<ValueId> s,
-    std::optional<ValueId> p, std::optional<ValueId> canon_o,
-    const std::function<bool(ValueId, ValueId, ValueId, ValueId)>& fn,
-    obs::Counter* scans) {
-  // Preserve the single-row (s, p) fast path: the answer is inline in
-  // the hash slot, no quad array touch.
-  if (s.has_value() && p.has_value()) {
-    SpMap::Hit hit = cache.by_sp.Probe(*s, *p);
-    if (hit.n == 0) return;
-    if (hit.n == 1) {
-      if (scans != nullptr) scans->Inc();
-      if (canon_o.has_value() && hit.canon_o != *canon_o) return;
-      fn(*s, *p, hit.o, hit.canon_o);
-      return;
-    }
-  }
-  MatchCacheIndexes(cache, s, p, canon_o,
-                    [&](uint32_t idx) {
-                      const IdQuad& q = cache.quads[idx];
-                      return fn(q.s, q.p, q.o, q.canon_o);
-                    },
-                    scans);
-}
-
-void LinkStore::MatchCacheIndexes(
-    const ModelIdCache& cache, std::optional<ValueId> s,
-    std::optional<ValueId> p, std::optional<ValueId> canon_o,
-    const std::function<bool(uint32_t)>& fn, obs::Counter* scans) {
-  // Residual filters double as the tombstone guard: a dead quad's ids
-  // are all -1 and never match a bound position, so only paths with an
-  // unchecked position need the explicit Dead() test.
-  auto visit = [&](uint32_t idx) {
-    if (scans != nullptr) scans->Inc();
-    const IdQuad& q = cache.quads[idx];
-    if (ModelIdCache::Dead(q)) return true;
-    if (s.has_value() && q.s != *s) return true;
-    if (p.has_value() && q.p != *p) return true;
-    if (canon_o.has_value() && q.canon_o != *canon_o) return true;
-    return fn(idx);
-  };
-
-  // Most selective postings first. An (s, p) probe — the inner loop of
-  // chain joins — is answered from the SpMap, whose lists are exact
-  // (no tombstones).
-  if (s.has_value() && p.has_value()) {
-    SpMap::Hit hit = cache.by_sp.Probe(*s, *p);
-    if (hit.n == 1) {
-      if (scans != nullptr) scans->Inc();
-      if (canon_o.has_value() && hit.canon_o != *canon_o) return;
-      fn(hit.head);
-      return;
-    }
-    for (uint32_t i = 0; i < hit.n; ++i) {
-      if (!visit(hit.list[i])) return;
-    }
-    return;
-  }
-
-  const codec::PostingList* postings = nullptr;
-  if (s.has_value()) {
-    auto it = cache.by_s.find(*s);
-    if (it == cache.by_s.end()) return;
-    postings = &it->second;
-  } else if (canon_o.has_value()) {
-    auto it = cache.by_canon.find(*canon_o);
-    if (it == cache.by_canon.end()) return;
-    postings = &it->second;
-  } else if (p.has_value()) {
-    auto it = cache.by_p.find(*p);
-    if (it == cache.by_p.end()) return;
-    postings = &it->second;
-  }
-
-  if (postings != nullptr) {
-    postings->ForEach(visit);
-    return;
-  }
-  for (uint32_t idx = 0; idx < cache.quads.size(); ++idx) {
-    if (!visit(idx)) return;
-  }
+  const ModelIdCache* cache = CacheFor(model_id);
+  if (cache == nullptr) return;
+  Scan(*cache, s, p, canon_o,
+       metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr,
+       [&](uint32_t idx, ValueId, ValueId, ValueId, ValueId) {
+         return fn(RowToLink(*links_->Get(cache->row_ids[idx])));
+       });
 }
 
 Status LinkStore::Delete(int64_t model_id, ValueId s, ValueId p, ValueId o,

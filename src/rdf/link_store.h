@@ -6,7 +6,9 @@
 // rows (one per VALUE_ID that is a live link's endpoint), and the
 // id-native quad cache, and it is itself that logical network: NDM
 // analysis reads nodes from rdf_node$ and links from the cache's posting
-// lists. The table is partitioned by MODEL_ID, as in the paper.
+// lists. The table is partitioned by MODEL_ID, as in the paper. The
+// cache's layout (posting lists, the (s, p) map, tombstones) is known
+// here alone: every pattern match over it goes through LinkStore::Scan.
 
 #ifndef RDFDB_RDF_LINK_STORE_H_
 #define RDFDB_RDF_LINK_STORE_H_
@@ -121,26 +123,12 @@ class LinkStore : public ndm::Network {
                              std::optional<ValueId> canon_o) const;
 
   /// Streaming variant of Match: visits each hit without materializing a
-  /// vector; return false from `fn` to stop early (used by the query
-  /// planner's bounded cardinality probes). All three positions bound is
-  /// a point lookup on the (model, s, p, canon_o) index instead of a
-  /// posting scan.
+  /// vector; return false from `fn` to stop early. Candidates come from
+  /// Scan over the model's quad cache; each is fetched as its full
+  /// rdf_link$ row.
   void MatchEach(int64_t model_id, std::optional<ValueId> s,
                  std::optional<ValueId> p, std::optional<ValueId> canon_o,
                  const std::function<bool(const LinkRow&)>& fn) const;
-
-  /// Id-only streaming match for the join executor's hot loop: same
-  /// semantics as MatchEach, but served from the id-native quad cache —
-  /// no ValueKey construction per probe, no row fetch or Value decode
-  /// per posting, and no LinkRow (whose LINK_TYPE/CONTEXT string
-  /// columns the executor never reads). A probe with both subject and
-  /// predicate bound — the inner loop of chain joins — hits a dedicated
-  /// (s, p) posting list with no residual filtering at all.
-  void MatchEachIds(
-      int64_t model_id, std::optional<ValueId> s, std::optional<ValueId> p,
-      std::optional<ValueId> canon_o,
-      const std::function<bool(ValueId s, ValueId p, ValueId o,
-                               ValueId canon_o)>& fn) const;
 
   /// Rebuild the id-native quad cache from the rdf_link$ rows. The
   /// cache is maintained in lockstep by Insert/InsertBatch/Delete/
@@ -290,12 +278,12 @@ class LinkStore : public ndm::Network {
   /// referenced quad instead of editing the list (see DESIGN.md §14).
   using PostingMap = std::unordered_map<ValueId, codec::PostingList>;
 
-  /// Per-model id-native postings backing MatchEachIds and the
-  /// executors' leaf scans: quads in creation order plus compressed
-  /// posting lists by subject, canonical object, and predicate (quad
-  /// indexes, delta+varint with a skip table for galloping), an exact
-  /// (subject, predicate) hash, and a sorted LINK_ID → quad index
-  /// vector. Scans decode cursors instead of walking flat int arrays.
+  /// Per-model id-native postings backing Scan: quads in creation
+  /// order plus compressed posting lists by subject, canonical object,
+  /// and predicate (quad indexes, delta+varint with a skip table for
+  /// galloping), an exact (subject, predicate) hash, and a sorted
+  /// LINK_ID → quad index vector. Scans decode cursors instead of
+  /// walking flat int arrays.
   /// Maintained by every mutation path in lockstep with the table (and
   /// rebuilt from it on reattach), so reads need no locking beyond
   /// what the table itself requires.
@@ -392,17 +380,6 @@ class LinkStore : public ndm::Network {
     void PostingAppend(PostingMap* postings, ValueId key, uint32_t idx);
   };
 
-  /// Id-only match kernel over one cache: index choice (sp probe →
-  /// postings → full scan), residual filtering, and scan accounting.
-  /// Shared by the store's MatchEachIds and by published StoreVersions,
-  /// which run it against their pinned cache objects.
-  static void MatchCache(
-      const ModelIdCache& cache, std::optional<ValueId> s,
-      std::optional<ValueId> p, std::optional<ValueId> canon_o,
-      const std::function<bool(ValueId s, ValueId p, ValueId o,
-                               ValueId canon_o)>& fn,
-      obs::Counter* scans);
-
   /// Shared read-only handles on every model's current cache — the raw
   /// material of a published snapshot. Cheap (one shared_ptr copy per
   /// model); subsequent store mutations copy-on-write and leave the
@@ -417,55 +394,36 @@ class LinkStore : public ndm::Network {
     return out;
   }
 
-  /// Borrowed read-only view of one model's quad cache for the compiled
-  /// executor's leaf scans: direct posting access with no virtual
-  /// dispatch or per-row callback. Invalidated by any mutation of the
-  /// store, so hold one only for the duration of a query.
-  class LeafScan {
-   public:
-    LeafScan() = default;
-    /// View over an externally-owned cache (a published StoreVersion's
-    /// pinned object); `scans` may be null to disable accounting.
-    LeafScan(const ModelIdCache* cache, obs::Counter* scans)
-        : cache_(cache), scans_(scans) {}
-    bool valid() const { return cache_ != nullptr; }
-    const IdQuad* quads() const { return cache_->quads.data(); }
-    uint32_t quad_count() const {
-      return static_cast<uint32_t>(cache_->quads.size());
-    }
-    SpMap::Hit ProbeSp(ValueId s, ValueId p) const {
-      return cache_->by_sp.Probe(s, p);
-    }
-    /// Compressed posting lists (quad indexes; may reference
-    /// tombstoned quads — check IdQuad::link_id or rely on residual
-    /// filters, which never match a dead quad's -1 ids).
-    const codec::PostingList* PostingsS(ValueId s) const {
-      return FindPostings(cache_->by_s, s);
-    }
-    const codec::PostingList* PostingsCanon(ValueId canon_o) const {
-      return FindPostings(cache_->by_canon, canon_o);
-    }
-    const codec::PostingList* PostingsP(ValueId p) const {
-      return FindPostings(cache_->by_p, p);
-    }
-    /// Mirror MatchEachIds' store-level scan accounting.
-    void CountScanned(size_t n) const {
-      if (scans_ != nullptr && n > 0) scans_->Inc(n);
-    }
+  /// Minimum driven-list size before Scan intersects two posting lists
+  /// by galloping instead of residual-filtering the shorter one.
+  static constexpr uint32_t kGallopMinDriven = 4096;
 
-   private:
-    friend class LinkStore;
-    static const codec::PostingList* FindPostings(const PostingMap& postings,
-                                                  ValueId key) {
-      auto it = postings.find(key);
-      return it == postings.end() ? nullptr : &it->second;
-    }
-    const ModelIdCache* cache_ = nullptr;
-    obs::Counter* scans_ = nullptr;
-  };
+  /// The access-path kernel. Every id-level match over a model's quad
+  /// cache runs through it (MatchEach, ModelSource::Match, the
+  /// executor's leaf steps, snapshot statistics), so the posting format,
+  /// the SpMap and the tombstone convention stay inside this module.
+  /// Index choice for the bound positions (the object is canonical):
+  ///  - s and p: the SpMap probe; a single-row group is answered from
+  ///    the slot with no quad-array load;
+  ///  - s and o, or p and o: the shorter posting list with residual
+  ///    checks, or a galloping intersection when the driven list is long
+  ///    and the other is sparse relative to it;
+  ///  - one position: its posting list; none: every live quad.
+  /// `fn(idx, s, p, o, canon_o)` sees each live match (`idx` indexes
+  /// cache.quads) and returns false to stop. The rows visited are added
+  /// to `scans` (nullable) once per call.
+  template <typename Fn>
+  static void Scan(const ModelIdCache& cache, std::optional<ValueId> s,
+                   std::optional<ValueId> p, std::optional<ValueId> canon_o,
+                   obs::Counter* scans, Fn&& fn);
 
-  /// Leaf-scan view of `model_id`; invalid when the model has no rows.
-  LeafScan Leaf(int64_t model_id) const;
+  /// Current quad cache of `model_id`, or null when the model has no
+  /// rows. Invalidated by any mutation of the store, so hold it only
+  /// for the duration of a read.
+  const ModelIdCache* CacheFor(int64_t model_id) const {
+    auto it = id_cache_.find(model_id);
+    return it == id_cache_.end() ? nullptr : it->second.get();
+  }
 
   /// Approximate heap bytes across every model's current quad cache.
   size_t CacheBytes() const {
@@ -484,22 +442,6 @@ class LinkStore : public ndm::Network {
   }
 
  private:
-  /// Cache-driven match yielding quad indexes: access-path choice
-  /// (SpMap probe → posting cursor → full scan), dead-quad skipping,
-  /// residual filtering, and scan accounting. MatchCache and MatchRows
-  /// are both built on it.
-  static void MatchCacheIndexes(
-      const ModelIdCache& cache, std::optional<ValueId> s,
-      std::optional<ValueId> p, std::optional<ValueId> canon_o,
-      const std::function<bool(uint32_t idx)>& fn, obs::Counter* scans);
-
-  /// Row-level match kernel for callers that need full rdf_link$ rows
-  /// (MatchEach): cache-driven candidates, rows fetched by the cache's
-  /// RowId column.
-  void MatchRows(int64_t model_id, std::optional<ValueId> s,
-                 std::optional<ValueId> p, std::optional<ValueId> canon_o,
-                 const std::function<bool(const storage::Row&)>& fn) const;
-
   /// Mutable handle on one model's cache, cloning it first when a
   /// published snapshot still shares the current object (copy-on-write;
   /// only the serialized writer manipulates these shared_ptrs).
@@ -540,6 +482,85 @@ class LinkStore : public ndm::Network {
   std::map<int64_t, std::shared_ptr<ModelIdCache>> id_cache_;
   obs::StoreMetrics* metrics_ = nullptr;
 };
+
+template <typename Fn>
+void LinkStore::Scan(const ModelIdCache& cache, std::optional<ValueId> s,
+                     std::optional<ValueId> p, std::optional<ValueId> canon_o,
+                     obs::Counter* scans, Fn&& fn) {
+  const IdQuad* quads = cache.quads.data();
+  uint32_t visited = 0;
+  // Residual compares double as the tombstone guard: a dead quad's ids
+  // are all -1 and no query carries a negative id.
+  auto visit = [&](uint32_t idx) {
+    ++visited;
+    const IdQuad& q = quads[idx];
+    if (s.has_value() && q.s != *s) return true;
+    if (p.has_value() && q.p != *p) return true;
+    if (canon_o.has_value() && q.canon_o != *canon_o) return true;
+    return fn(idx, q.s, q.p, q.o, q.canon_o);
+  };
+  auto find = [](const PostingMap& postings,
+                 ValueId key) -> const codec::PostingList* {
+    auto it = postings.find(key);
+    return it == postings.end() ? nullptr : &it->second;
+  };
+  // Two bound lists. Posting values are quad indexes, so membership in
+  // the longer list equals a residual compare on the quad: filtering
+  // the shorter list costs one random quad load per candidate.
+  // Galloping the longer list pays a block decode per candidate but
+  // skips the load on misses, so it wins only when the driven list is
+  // big enough for those loads to dominate AND the longer list is
+  // sparse relative to it (a dense one means nearly every candidate
+  // hits and the quad gets loaded anyway).
+  auto pair_scan = [&](const codec::PostingList* x,
+                       const codec::PostingList* y) {
+    if (x == nullptr || y == nullptr) return;
+    const codec::PostingList& shorter = x->size() <= y->size() ? *x : *y;
+    const codec::PostingList& longer = x->size() <= y->size() ? *y : *x;
+    if (shorter.size() <= kGallopMinDriven ||
+        longer.size() / 8 <= shorter.size()) {
+      shorter.ForEach(visit);
+      return;
+    }
+    codec::PostingList::Cursor driven(shorter);
+    codec::PostingList::Cursor skipped(longer);
+    while (!driven.AtEnd() && skipped.SkipTo(driven.Value())) {
+      if (skipped.Value() == driven.Value() && !visit(driven.Value())) break;
+      driven.Next();
+    }
+  };
+
+  if (s.has_value() && p.has_value()) {
+    SpMap::Hit hit = cache.by_sp.Probe(*s, *p);
+    if (hit.n == 1) {
+      visited = 1;
+      if (!canon_o.has_value() || hit.canon_o == *canon_o) {
+        fn(hit.head, *s, *p, hit.o, hit.canon_o);
+      }
+    } else {
+      for (uint32_t i = 0; i < hit.n; ++i) {
+        if (!visit(hit.list[i])) break;
+      }
+    }
+  } else if (s.has_value() && canon_o.has_value()) {
+    pair_scan(find(cache.by_s, *s), find(cache.by_canon, *canon_o));
+  } else if (p.has_value() && canon_o.has_value()) {
+    pair_scan(find(cache.by_p, *p), find(cache.by_canon, *canon_o));
+  } else if (s.has_value() || p.has_value() || canon_o.has_value()) {
+    const codec::PostingList* list =
+        s.has_value()         ? find(cache.by_s, *s)
+        : canon_o.has_value() ? find(cache.by_canon, *canon_o)
+                              : find(cache.by_p, *p);
+    if (list != nullptr) list->ForEach(visit);
+  } else {
+    for (uint32_t idx = 0; idx < cache.quads.size(); ++idx) {
+      ++visited;
+      const IdQuad& q = quads[idx];
+      if (!ModelIdCache::Dead(q) && !fn(idx, q.s, q.p, q.o, q.canon_o)) break;
+    }
+  }
+  if (scans != nullptr && visited > 0) scans->Inc(visited);
+}
 
 }  // namespace rdfdb::rdf
 

@@ -185,14 +185,8 @@ class RdfStore : public StoreView {
   std::optional<ValueId> LookupValue(const Term& term) const override {
     return values_->Lookup(term);
   }
-  LinkStore::LeafScan Leaf(ModelId model_id) const override {
-    return links_->Leaf(model_id);
-  }
-  void MatchEachIds(ModelId model_id, std::optional<ValueId> s,
-                    std::optional<ValueId> p, std::optional<ValueId> canon_o,
-                    const std::function<bool(ValueId, ValueId, ValueId,
-                                             ValueId)>& fn) const override {
-    links_->MatchEachIds(model_id, s, p, canon_o, fn);
+  const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
+    return links_->CacheFor(model_id);
   }
 
   /// Intern an already-parsed term for `model_id` (blank nodes are

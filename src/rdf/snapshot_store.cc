@@ -30,25 +30,6 @@ Result<Term> StoreVersion::TermForValueId(ValueId value_id) const {
   return dict_->TermForValueId(value_id);
 }
 
-LinkStore::LeafScan StoreVersion::Leaf(ModelId model_id) const {
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return LinkStore::LeafScan();
-  return LinkStore::LeafScan(
-      cache, metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr);
-}
-
-void StoreVersion::MatchEachIds(
-    ModelId model_id, std::optional<ValueId> s, std::optional<ValueId> p,
-    std::optional<ValueId> canon_o,
-    const std::function<bool(ValueId, ValueId, ValueId, ValueId)>& fn)
-    const {
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return;
-  LinkStore::MatchCache(
-      *cache, s, p, canon_o, fn,
-      metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr);
-}
-
 std::optional<ValueId> StoreVersion::LookupTermId(ModelId model_id,
                                                   const Term& term) const {
   if (term.is_blank()) return dict_->LookupBlank(model_id, term.lexical());
@@ -143,13 +124,13 @@ Result<RdfStore::ModelStats> StoreVersion::GetModelStats(
   stats.triples = cache->live_count();
   stats.implied_statements = cache->implied_count;
   if (reif_type_id_.has_value() && reif_stmt_id_.has_value()) {
-    LinkStore::MatchCache(
+    LinkStore::Scan(
         *cache, std::nullopt, *reif_type_id_, *reif_stmt_id_,
-        [&](ValueId, ValueId, ValueId, ValueId) {
+        metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr,
+        [&](uint32_t, ValueId, ValueId, ValueId, ValueId) {
           ++stats.reified_statements;
           return true;
-        },
-        metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr);
+        });
   }
 
   if (options.distinct_counts) {

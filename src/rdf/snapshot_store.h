@@ -64,11 +64,10 @@ class StoreVersion : public StoreView {
   Result<ModelId> GetModelId(const std::string& model_name) const override;
   std::optional<ValueId> LookupValue(const Term& term) const override;
   Result<Term> TermForValueId(ValueId value_id) const override;
-  LinkStore::LeafScan Leaf(ModelId model_id) const override;
-  void MatchEachIds(ModelId model_id, std::optional<ValueId> s,
-                    std::optional<ValueId> p, std::optional<ValueId> canon_o,
-                    const std::function<bool(ValueId, ValueId, ValueId,
-                                             ValueId)>& fn) const override;
+  const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
+    auto it = caches_.find(model_id);
+    return it == caches_.end() ? nullptr : it->second.get();
+  }
   obs::StoreMetrics* metrics() const override { return metrics_; }
   obs::SlowQueryLog* slow_query_log() const override {
     return slow_query_log_;
@@ -115,11 +114,6 @@ class StoreVersion : public StoreView {
  private:
   friend class SnapshotRdfStore;
   StoreVersion() = default;
-
-  const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const {
-    auto it = caches_.find(model_id);
-    return it == caches_.end() ? nullptr : it->second.get();
-  }
 
   /// LookupTerm mirror: blank nodes resolve through the model-scoped
   /// blank table.

@@ -10,7 +10,6 @@
 #ifndef RDFDB_RDF_STORE_VIEW_H_
 #define RDFDB_RDF_STORE_VIEW_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -29,7 +28,7 @@ class Timeline;
 namespace rdfdb::rdf {
 
 /// Read-only store surface: model-name resolution, term interning
-/// lookups, and the id-native triple match/scan entry points.
+/// lookups, and each model's id-native quad cache.
 class StoreView {
  public:
   virtual ~StoreView() = default;
@@ -44,16 +43,10 @@ class StoreView {
   /// Reconstruct the term stored under `value_id`.
   virtual Result<Term> TermForValueId(ValueId value_id) const = 0;
 
-  /// Leaf-scan view of one model's quad cache; invalid when the model
-  /// has no rows.
-  virtual LinkStore::LeafScan Leaf(ModelId model_id) const = 0;
-
-  /// Id-native streaming triple match (object position is canonical).
-  virtual void MatchEachIds(
-      ModelId model_id, std::optional<ValueId> s, std::optional<ValueId> p,
-      std::optional<ValueId> canon_o,
-      const std::function<bool(ValueId s, ValueId p, ValueId o,
-                               ValueId canon_o)>& fn) const = 0;
+  /// One model's quad cache — the live object for RdfStore, the pinned
+  /// one for a StoreVersion — or null when the model has no rows. Reads
+  /// go through LinkStore::Scan.
+  virtual const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const = 0;
 
   /// Observability attachments; null when disabled.
   virtual obs::StoreMetrics* metrics() const { return nullptr; }

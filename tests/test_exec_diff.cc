@@ -2,8 +2,9 @@
 // randomized 1–5-pattern queries (star and chain shapes, filters,
 // DISTINCT, LIMIT) over generated UniProt data, the compiled executor
 // must produce the answer of the brute-force reference model
-// (reference_model.h), and its parallel runs at several thread counts
-// and chunk sizes must reproduce the sequential run row for row.
+// (reference_model.h) on the live store and on a pinned snapshot
+// version, and its parallel runs at several thread counts and chunk
+// sizes must reproduce the sequential run row for row.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -21,6 +23,7 @@
 #include "rdf/bulk_load.h"
 #include "rdf/ntriples.h"
 #include "rdf/rdf_store.h"
+#include "rdf/snapshot_store.h"
 #include "rdf/term.h"
 #include "reference_model.h"
 
@@ -34,9 +37,11 @@ struct SampledTriple {
 };
 
 /// Store, reference model and term-level triple sample shared by every
-/// test (loading the workload once keeps the whole suite fast).
+/// test (loading the workload once keeps the whole suite fast). Reads
+/// run both on the live store (through Apply) and on a pinned version
+/// (through Snapshot()).
 struct DiffData {
-  rdf::RdfStore store;
+  rdf::SnapshotRdfStore versions;
   test::ReferenceStore reference;
   std::vector<SampledTriple> triples;
   /// Indexes into `triples` grouped by subject lexical (star shapes).
@@ -73,10 +78,25 @@ DiffData* SharedData() {
     gen::UniProtOptions gen_options;
     gen_options.target_triples = 3000;
     gen::UniProtDataset dataset = gen::GenerateUniProt(gen_options);
-    auto load = gen::LoadUniProtIntoOracle(&d->store, kModel, "diff_app",
-                                           dataset);
-    if (!load.ok()) {
-      ADD_FAILURE() << "workload load failed: " << load.status().ToString();
+    Status loaded = d->versions.Apply([&](rdf::RdfStore& store) -> Status {
+      auto load = gen::LoadUniProtIntoOracle(&store, kModel, "diff_app",
+                                             dataset);
+      if (!load.ok()) return load.status();
+      store.links().ScanModel(
+          load->model.model_id, [&](const rdf::LinkRow& row) {
+            auto s = store.TermForValueId(row.start_node_id);
+            auto p = store.TermForValueId(row.p_value_id);
+            auto o = store.TermForValueId(row.end_node_id);
+            if (s.ok() && p.ok() && o.ok()) {
+              d->by_subject[s->lexical()].push_back(d->triples.size());
+              d->triples.push_back(SampledTriple{*s, *p, *o});
+            }
+            return true;
+          });
+      return Status::OK();
+    });
+    if (!loaded.ok()) {
+      ADD_FAILURE() << "workload load failed: " << loaded.ToString();
       return d;
     }
     Status modeled = LoadIntoReference(&d->reference, dataset);
@@ -84,17 +104,6 @@ DiffData* SharedData() {
       ADD_FAILURE() << "reference load failed: " << modeled.ToString();
       return d;
     }
-    d->store.links().ScanModel(
-        load->model.model_id, [&](const rdf::LinkRow& row) {
-          auto s = d->store.TermForValueId(row.start_node_id);
-          auto p = d->store.TermForValueId(row.p_value_id);
-          auto o = d->store.TermForValueId(row.end_node_id);
-          if (s.ok() && p.ok() && o.ok()) {
-            d->by_subject[s->lexical()].push_back(d->triples.size());
-            d->triples.push_back(SampledTriple{*s, *p, *o});
-          }
-          return true;
-        });
     for (const SampledTriple& t : d->triples) {
       if (!t.o.is_literal()) continue;
       const std::string& text = t.o.ToDisplayString();
@@ -107,6 +116,17 @@ DiffData* SharedData() {
     return d;
   }();
   return data;
+}
+
+/// Run `fn(rdf::RdfStore&)` on the shared live store and return its
+/// result. The version published afterwards holds whatever `fn` changed.
+template <typename Fn>
+auto OnLive(Fn&& fn) {
+  std::optional<decltype(fn(std::declval<rdf::RdfStore&>()))> out;
+  Status published = SharedData()->versions.Apply(
+      [&](rdf::RdfStore& store) { out.emplace(fn(store)); });
+  EXPECT_TRUE(published.ok()) << published.ToString();
+  return std::move(*out);
 }
 
 /// Render a sampled term as a pattern token (the N-Triples forms are
@@ -241,8 +261,17 @@ Result<MatchResult> RunQuery(const GeneratedQuery& q, unsigned threads,
   MatchOptions options = q.options;
   options.threads = threads;
   options.chunk_frames = chunk_frames;
-  return SdoRdfMatch(&SharedData()->store, nullptr, q.patterns, {model},
-                     {}, {}, q.filter, options);
+  return OnLive([&](rdf::RdfStore& store) {
+    return SdoRdfMatch(&store, nullptr, q.patterns, {model}, {}, {},
+                       q.filter, options);
+  });
+}
+
+/// The sequential query on a pinned snapshot version.
+Result<MatchResult> RunPinnedQuery(const GeneratedQuery& q,
+                                   const std::string& model) {
+  return SdoRdfMatch(SharedData()->versions.Snapshot().view(), q.patterns,
+                     {model}, {}, q.filter, q.options);
 }
 
 /// Comparable text of a term. The store names a blank node by its
@@ -273,11 +302,12 @@ std::vector<std::string> SortedRowKeys(size_t rows, size_t cols,
   return keys;
 }
 
-/// Assert the compiled executor's sequential answer agrees with the
-/// reference model's full answer — equal multisets without LIMIT; with
-/// LIMIT n, a sub-multiset of size min(n, |answer|) (distinct rows under
-/// DISTINCT) — and that every parallel thread/chunk configuration
-/// reproduces the sequential rows in the same order.
+/// Assert the compiled executor's sequential answers, on the live store
+/// and on a pinned version, agree with the reference model's full
+/// answer — equal multisets without LIMIT; with LIMIT n, a sub-multiset
+/// of size min(n, |answer|) (distinct rows under DISTINCT) — and that
+/// every parallel thread/chunk configuration reproduces the sequential
+/// live rows in the same order.
 void ExpectMatchesReference(const GeneratedQuery& q,
                             const std::string& model = kModel) {
   SCOPED_TRACE("query: " + q.patterns + " filter: " + q.filter +
@@ -290,33 +320,40 @@ void ExpectMatchesReference(const GeneratedQuery& q,
   ref_query.distinct = q.options.distinct;
   auto expected = SharedData()->reference.Match(ref_query, {model});
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  auto sequential = RunQuery(q, 1, 512, model);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ASSERT_EQ(sequential->columns(), expected->columns);
-
   const size_t cols = expected->columns.size();
   const std::vector<std::string> want = SortedRowKeys(
       expected->rows.size(), cols,
       [&](size_t r, size_t c) -> const rdf::Term& {
         return expected->rows[r][c];
       });
-  const std::vector<std::string> got = SortedRowKeys(
-      sequential->row_count(), cols,
-      [&](size_t r, size_t c) -> const rdf::Term& {
-        return sequential->at(r, c);
-      });
-  if (q.options.limit == 0) {
-    ASSERT_EQ(got, want);
-  } else {
-    ASSERT_EQ(got.size(), std::min(q.options.limit, want.size()));
-    ASSERT_TRUE(std::includes(want.begin(), want.end(), got.begin(),
-                              got.end()))
-        << "LIMIT rows are not a sub-multiset of the full answer";
-    if (q.options.distinct) {
-      ASSERT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
-          << "DISTINCT returned a duplicate row";
+
+  auto expect_answer = [&](const Result<MatchResult>& answer,
+                           const char* side) {
+    SCOPED_TRACE(side);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    ASSERT_EQ(answer->columns(), expected->columns);
+    const std::vector<std::string> got = SortedRowKeys(
+        answer->row_count(), cols,
+        [&](size_t r, size_t c) -> const rdf::Term& {
+          return answer->at(r, c);
+        });
+    if (q.options.limit == 0) {
+      ASSERT_EQ(got, want);
+    } else {
+      ASSERT_EQ(got.size(), std::min(q.options.limit, want.size()));
+      ASSERT_TRUE(std::includes(want.begin(), want.end(), got.begin(),
+                                got.end()))
+          << "LIMIT rows are not a sub-multiset of the full answer";
+      if (q.options.distinct) {
+        ASSERT_TRUE(std::adjacent_find(got.begin(), got.end()) == got.end())
+            << "DISTINCT returned a duplicate row";
+      }
     }
-  }
+  };
+  auto sequential = RunQuery(q, 1, 512, model);
+  expect_answer(sequential, "live store");
+  expect_answer(RunPinnedQuery(q, model), "pinned version");
+  ASSERT_TRUE(sequential.ok());
 
   struct Config {
     unsigned threads;
@@ -413,7 +450,7 @@ TEST(ExecDiffTest, ObjectConstantsMatchCanonically) {
   DiffData& data = *SharedData();
   const char kCanonModel[] = "diff_canon";
   ASSERT_TRUE(
-      data.store.CreateRdfModel(kCanonModel, "diff_canon_app", "triple")
+      data.versions.CreateRdfModel(kCanonModel, "diff_canon_app", "triple")
           .ok());
   ASSERT_TRUE(data.reference.CreateModel(kCanonModel).ok());
   const std::string kInt = "^^<http://www.w3.org/2001/XMLSchema#integer>";
@@ -422,7 +459,8 @@ TEST(ExecDiffTest, ObjectConstantsMatchCanonically) {
   for (int i = 0; i < 8; ++i) {
     const std::string s = "<urn:c:s" + std::to_string(i % 3) + ">";
     const std::string& o = objects[i % 4];
-    ASSERT_TRUE(data.store.InsertTriple(kCanonModel, s, "<urn:c:v>", o).ok());
+    ASSERT_TRUE(
+        data.versions.InsertTriple(kCanonModel, s, "<urn:c:v>", o).ok());
     ASSERT_TRUE(data.reference.Insert(kCanonModel, s, "<urn:c:v>", o).ok());
   }
   for (const std::string& o : objects) {
@@ -439,30 +477,52 @@ TEST(ExecDiffTest, ObjectConstantsMatchCanonically) {
 //
 // The quad caches store postings delta-varint-compressed and mark
 // deletions as tombstones (see rdf/codec.h, link_store.h). These tests
-// pit that path — posting cursors, SpMap probes, galloping
-// intersections, tombstone filters — against oracles that never touch
-// it: a linear scan of the uncompressed rdf_link$ rows, and the
-// reference model.
+// pit LinkStore::Scan — posting cursors, SpMap probes, galloping
+// intersections, tombstone filters — on the live store and on a pinned
+// version against oracles that never touch it: a linear scan of the
+// uncompressed rdf_link$ rows, and the reference model.
 
 /// Id-level quad, ordered so result multisets can be compared.
 using IdQuadTuple = std::array<rdf::ValueId, 4>;
 
 /// Every live quad of `model_id`, read from the rdf_link$ table rows
 /// (not the compressed cache).
-std::vector<IdQuadTuple> TableScanQuads(rdf::RdfStore* store,
-                                        rdf::ModelId model_id) {
-  std::vector<IdQuadTuple> quads;
-  store->links().ScanModel(model_id, [&](const rdf::LinkRow& row) {
-    quads.push_back({row.start_node_id, row.p_value_id, row.end_node_id,
-                     row.canon_end_node_id});
-    return true;
+std::vector<IdQuadTuple> TableScanQuads(rdf::ModelId model_id) {
+  return OnLive([&](rdf::RdfStore& store) {
+    std::vector<IdQuadTuple> quads;
+    store.links().ScanModel(model_id, [&](const rdf::LinkRow& row) {
+      quads.push_back({row.start_node_id, row.p_value_id, row.end_node_id,
+                       row.canon_end_node_id});
+      return true;
+    });
+    return quads;
   });
-  return quads;
 }
 
-/// Run one (s?, p?, canon_o?) probe through both paths and compare the
-/// result multisets.
-void ExpectProbeMatchesOracle(rdf::RdfStore* store, rdf::ModelId model_id,
+/// The sorted matches of one probe, by the scan kernel over `view`'s
+/// cache of `model_id`.
+std::vector<IdQuadTuple> KernelScan(const rdf::StoreView& view,
+                                    rdf::ModelId model_id,
+                                    std::optional<rdf::ValueId> s,
+                                    std::optional<rdf::ValueId> p,
+                                    std::optional<rdf::ValueId> canon_o) {
+  std::vector<IdQuadTuple> got;
+  const rdf::LinkStore::ModelIdCache* cache = view.CacheFor(model_id);
+  if (cache == nullptr) return got;
+  rdf::LinkStore::Scan(*cache, s, p, canon_o, /*scans=*/nullptr,
+                       [&](uint32_t, rdf::ValueId qs, rdf::ValueId qp,
+                           rdf::ValueId qo, rdf::ValueId qc) {
+                         got.push_back({qs, qp, qo, qc});
+                         return true;
+                       });
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+/// Run one (s?, p?, canon_o?) probe through the scan kernel on the live
+/// store and on a pinned version, and compare each result multiset with
+/// the oracle's.
+void ExpectProbeMatchesOracle(rdf::ModelId model_id,
                               const std::vector<IdQuadTuple>& oracle,
                               std::optional<rdf::ValueId> s,
                               std::optional<rdf::ValueId> p,
@@ -477,24 +537,22 @@ void ExpectProbeMatchesOracle(rdf::RdfStore* store, rdf::ModelId model_id,
     if (canon_o.has_value() && q[3] != *canon_o) continue;
     expected.push_back(q);
   }
-  std::vector<IdQuadTuple> got;
-  store->MatchEachIds(model_id, s, p, canon_o,
-                      [&](rdf::ValueId qs, rdf::ValueId qp, rdf::ValueId qo,
-                          rdf::ValueId qc) {
-                        got.push_back({qs, qp, qo, qc});
-                        return true;
-                      });
   std::sort(expected.begin(), expected.end());
-  std::sort(got.begin(), got.end());
-  ASSERT_EQ(got, expected);
+  EXPECT_EQ(OnLive([&](rdf::RdfStore& store) {
+              return KernelScan(store, model_id, s, p, canon_o);
+            }),
+            expected)
+      << "live store";
+  EXPECT_EQ(KernelScan(SharedData()->versions.Snapshot().view(), model_id, s,
+                       p, canon_o),
+            expected)
+      << "pinned version";
 }
 
 TEST(ExecDiffTest, CompressedLeafScanMatchesTableScanOracle) {
-  DiffData& data = *SharedData();
-  auto model_id = data.store.GetModelId(kModel);
+  auto model_id = SharedData()->versions.GetModelId(kModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
-  const std::vector<IdQuadTuple> oracle =
-      TableScanQuads(&data.store, *model_id);
+  const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_GE(oracle.size(), 1000u);
 
   Random rng(20260808);
@@ -512,7 +570,7 @@ TEST(ExecDiffTest, CompressedLeafScanMatchesTableScanOracle) {
     }
     // Occasionally probe an id that was never interned.
     if (rng.Bernoulli(0.05)) s = rdf::ValueId{1} << 40;
-    ExpectProbeMatchesOracle(&data.store, *model_id, oracle, s, p, canon_o);
+    ExpectProbeMatchesOracle(*model_id, oracle, s, p, canon_o);
   }
 }
 
@@ -524,7 +582,7 @@ TEST(ExecDiffTest, TombstonedQuadsVanishFromCompressedScans) {
   DiffData& data = *SharedData();
   const char kTombModel[] = "diff_tomb";
   auto created =
-      data.store.CreateRdfModel(kTombModel, "diff_tomb_app", "triple");
+      data.versions.CreateRdfModel(kTombModel, "diff_tomb_app", "triple");
   ASSERT_TRUE(created.ok()) << created.status().ToString();
 
   struct Spo {
@@ -536,20 +594,19 @@ TEST(ExecDiffTest, TombstonedQuadsVanishFromCompressedScans) {
     Spo t{"<urn:tomb:s" + std::to_string(i % 40) + ">",
           "<urn:tomb:p" + std::to_string(i % 7) + ">",
           "<urn:tomb:o" + std::to_string(i % 90) + ">"};
-    auto ins = data.store.InsertTriple(kTombModel, t.s, t.p, t.o);
+    auto ins = data.versions.InsertTriple(kTombModel, t.s, t.p, t.o);
     ASSERT_TRUE(ins.ok()) << ins.status().ToString();
     inserted.push_back(std::move(t));
   }
   for (const Spo& t : inserted) {
     if (!rng.Bernoulli(0.33)) continue;
-    auto st = data.store.DeleteTriple(kTombModel, t.s, t.p, t.o);
+    auto st = data.versions.DeleteTriple(kTombModel, t.s, t.p, t.o);
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
-  auto model_id = data.store.GetModelId(kTombModel);
+  auto model_id = data.versions.GetModelId(kTombModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
-  const std::vector<IdQuadTuple> oracle =
-      TableScanQuads(&data.store, *model_id);
+  const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_FALSE(oracle.empty());
   // Deletes must actually have landed, or the oracle proves nothing.
   ASSERT_LT(oracle.size(), 300u - 40u);
@@ -560,29 +617,32 @@ TEST(ExecDiffTest, TombstonedQuadsVanishFromCompressedScans) {
     if (rng.Bernoulli(0.5)) s = pick[0];
     if (rng.Bernoulli(0.5)) p = pick[1];
     if (rng.Bernoulli(0.5)) canon_o = pick[3];
-    ExpectProbeMatchesOracle(&data.store, *model_id, oracle, s, p, canon_o);
+    ExpectProbeMatchesOracle(*model_id, oracle, s, p, canon_o);
   }
   // The full unconstrained scan must also skip tombstones.
-  ExpectProbeMatchesOracle(&data.store, *model_id, oracle, std::nullopt,
-                           std::nullopt, std::nullopt);
+  ExpectProbeMatchesOracle(*model_id, oracle, std::nullopt, std::nullopt,
+                           std::nullopt);
 }
 
 TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
-  // Postings sized past the executor's galloping threshold (driven
+  // Postings sized past LinkStore::Scan's galloping threshold (driven
   // list > 4096 and the longer side > 8x sparser), with partial
   // overlap so SkipTo actually skips blocks. The reference model is the
   // oracle.
   DiffData& data = *SharedData();
   const char kGallopModel[] = "diff_gallop";
   auto created =
-      data.store.CreateRdfModel(kGallopModel, "diff_gallop_app", "triple");
+      data.versions.CreateRdfModel(kGallopModel, "diff_gallop_app", "triple");
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ASSERT_TRUE(data.reference.CreateModel(kGallopModel).ok());
 
   // Hub subject s0: 4100 triples to the hub object (distinct
   // predicates) plus 4100 to private objects; the hub also referenced
   // by 62000 other subjects. by_s[s0] = 8200 (driven), by_canon[hub] =
-  // 66100 (galloped: 66100/8 > 8200), overlap = 4100.
+  // 66100 (galloped: 66100/8 > 8200), overlap = 4100. A seeded shuffle
+  // interleaves s0's hub and private triples irregularly: in a strict
+  // alternation, a driven cursor that skips every other entry would
+  // still find every hub row.
   std::vector<rdf::NTriple> triples;
   triples.reserve(70200);
   auto uri_triple = [](std::string s, std::string p, std::string o) {
@@ -598,12 +658,18 @@ TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
     triples.push_back(uri_triple("urn:g:s0", "urn:g:q" + std::to_string(i),
                                  "urn:g:o" + std::to_string(i)));
   }
+  Random shuffle_rng(20260810);
+  for (size_t i = triples.size() - 1; i > 0; --i) {
+    std::swap(triples[i], triples[shuffle_rng.Uniform(i + 1)]);
+  }
   for (int i = 0; i < 62000; ++i) {
     triples.push_back(uri_triple("urn:g:s" + std::to_string(i + 1),
                                  "urn:g:ref", "urn:g:hub"));
   }
-  auto loaded = rdf::BulkLoad(&data.store, kGallopModel, triples);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Status loaded = data.versions.Apply([&](rdf::RdfStore& store) {
+    return rdf::BulkLoad(&store, kGallopModel, triples).status();
+  });
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (const rdf::NTriple& t : triples) {
     ASSERT_TRUE(data.reference
                     .InsertTerms(kGallopModel, t.subject, t.predicate,
@@ -611,7 +677,7 @@ TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
                     .ok());
   }
 
-  // (s, ?, o): PostingsS(s0) drives a gallop over PostingsCanon(hub).
+  // (s, ?, o): by_s[s0] drives a gallop over by_canon[hub].
   GeneratedQuery so;
   so.patterns = "(<urn:g:s0> ?p <urn:g:hub>)";
   ExpectMatchesReference(so, kGallopModel);
@@ -627,19 +693,19 @@ TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
   // 62000 rows — so it is deliberately absent.)
 
   // Same shapes at the id level against the table-scan oracle.
-  auto model_id = data.store.GetModelId(kGallopModel);
+  auto model_id = data.versions.GetModelId(kGallopModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
-  const std::vector<IdQuadTuple> oracle =
-      TableScanQuads(&data.store, *model_id);
+  const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_EQ(oracle.size(), 70200u);
-  auto s0 = data.store.LookupValue(rdf::Term::Uri("urn:g:s0"));
-  auto hub = data.store.LookupValue(rdf::Term::Uri("urn:g:hub"));
-  auto ref = data.store.LookupValue(rdf::Term::Uri("urn:g:ref"));
+  auto lookup = [&](const char* uri) {
+    return data.versions.Snapshot()->LookupValue(rdf::Term::Uri(uri));
+  };
+  auto s0 = lookup("urn:g:s0");
+  auto hub = lookup("urn:g:hub");
+  auto ref = lookup("urn:g:ref");
   ASSERT_TRUE(s0 && hub && ref);
-  ExpectProbeMatchesOracle(&data.store, *model_id, oracle, *s0, std::nullopt,
-                           *hub);
-  ExpectProbeMatchesOracle(&data.store, *model_id, oracle, std::nullopt,
-                           *ref, *hub);
+  ExpectProbeMatchesOracle(*model_id, oracle, *s0, std::nullopt, *hub);
+  ExpectProbeMatchesOracle(*model_id, oracle, std::nullopt, *ref, *hub);
 }
 
 }  // namespace

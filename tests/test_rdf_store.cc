@@ -294,13 +294,16 @@ TEST_F(RdfStoreTest, SaveAndOpenRoundTrip) {
   // while wildcard scans return nothing is exactly the regression this
   // guards against.
   {
+    const LinkStore::ModelIdCache* cache =
+        loaded.CacheFor(*loaded.GetModelId("cia"));
+    ASSERT_NE(cache, nullptr);
     size_t matched = 0;
-    loaded.links().MatchEachIds(
-        *loaded.GetModelId("cia"), std::nullopt, std::nullopt, std::nullopt,
-        [&](ValueId, ValueId, ValueId, ValueId) {
-          ++matched;
-          return true;
-        });
+    LinkStore::Scan(*cache, std::nullopt, std::nullopt, std::nullopt,
+                    /*scans=*/nullptr,
+                    [&](uint32_t, ValueId, ValueId, ValueId, ValueId) {
+                      ++matched;
+                      return true;
+                    });
     EXPECT_EQ(matched, loaded.links().TotalTripleCount());
   }
   // New inserts continue from fresh sequence values (no id collisions).

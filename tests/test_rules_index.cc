@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "query/exec.h"
@@ -66,6 +67,28 @@ class EntailmentTest : public ::testing::Test {
   void Add(const std::string& s, const std::string& p,
            const std::string& o) {
     ASSERT_TRUE(store_.InsertTriple("kb", s, p, o).ok());
+  }
+
+  /// Solutions of `query` over the "kb" model from the compiled
+  /// executor, one variable -> VALUE_ID map each.
+  std::vector<std::map<std::string, ValueId>> Solve(const std::string& query,
+                                                    bool reorder = true) {
+    auto patterns = ParsePatterns(query, {});
+    EXPECT_TRUE(patterns.ok()) << patterns.status().ToString();
+    if (!patterns.ok()) return {};
+    ModelSource base(&store_, {model_});
+    CompiledPlan plan = CompilePatterns(store_, *patterns, nullptr, base,
+                                        reorder, /*trace=*/nullptr);
+    std::vector<std::map<std::string, ValueId>> solutions;
+    Status st = ExecutePlan(store_, plan, base, [&](const ValueId* slots) {
+      std::map<std::string, ValueId>& row = solutions.emplace_back();
+      for (size_t i = 0; i < plan.slot_count(); ++i) {
+        row[plan.vars[i]] = slots[i];
+      }
+      return true;
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return solutions;
   }
 
   bool Inferred(const TripleSet& set, const std::string& s,
@@ -241,33 +264,15 @@ TEST_F(EntailmentTest, EvalPatternsJoinsAcrossPatterns) {
   Add("ex:a", "ex:knows", "ex:b");
   Add("ex:b", "ex:knows", "ex:c");
   Add("ex:c", "ex:knows", "ex:d");
-  ModelSource base(&store_, {model_});
-  auto patterns = ParsePatterns("(?x ex:knows ?y) (?y ex:knows ?z)", {});
-  ASSERT_TRUE(patterns.ok());
-  size_t solutions = 0;
-  Status st = EvalPatterns(store_, *patterns, nullptr, base,
-                           [&](const IdBindings& binding) {
-                             EXPECT_EQ(binding.size(), 3u);
-                             ++solutions;
-                             return true;
-                           });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(solutions, 2u);  // a-b-c and b-c-d
+  auto solutions = Solve("(?x ex:knows ?y) (?y ex:knows ?z)");
+  ASSERT_EQ(solutions.size(), 2u);  // a-b-c and b-c-d
+  for (const auto& solution : solutions) EXPECT_EQ(solution.size(), 3u);
 }
 
 TEST_F(EntailmentTest, EvalPatternsRepeatedVariableMustMatch) {
   Add("ex:x", "ex:p", "ex:x");
   Add("ex:x", "ex:p", "ex:y");
-  ModelSource base(&store_, {model_});
-  auto patterns = ParsePatterns("(?a ex:p ?a)", {});
-  size_t solutions = 0;
-  ASSERT_TRUE(EvalPatterns(store_, *patterns, nullptr, base,
-                           [&](const IdBindings&) {
-                             ++solutions;
-                             return true;
-                           })
-                  .ok());
-  EXPECT_EQ(solutions, 1u);  // only the self-loop
+  EXPECT_EQ(Solve("(?a ex:p ?a)").size(), 1u);  // only the self-loop
 }
 
 /// Join order chosen by the compiled executor's planner over the "kb"
@@ -326,47 +331,21 @@ TEST_F(EntailmentTest, ReorderingDoesNotChangeResults) {
     Add("ex:n" + std::to_string(i), "ex:team",
         "ex:t" + std::to_string(i % 3));
   }
-  ModelSource base(&store_, {model_});
-  auto patterns = ParsePatterns(
-      "(?x ex:knows ?y) (?y ex:knows ?z) (?z ex:team ex:t1)", {});
-  ASSERT_TRUE(patterns.ok());
-
   auto collect = [&](bool reorder) {
-    std::set<std::string> out;
-    EvalOptions options;
-    options.reorder_patterns = reorder;
-    Status st = EvalPatterns(store_, *patterns, nullptr, base,
-                             [&](const IdBindings& b) {
-                               std::string key;
-                               for (const auto& [var, id] : b) {
-                                 key += var + "=" +
-                                        std::to_string(id) + ";";
-                               }
-                               out.insert(key);
-                               return true;
-                             },
-                             options);
-    EXPECT_TRUE(st.ok());
-    return out;
+    auto solutions = Solve(
+        "(?x ex:knows ?y) (?y ex:knows ?z) (?z ex:team ex:t1)", reorder);
+    return std::set<std::map<std::string, ValueId>>(solutions.begin(),
+                                                    solutions.end());
   };
-  std::set<std::string> with = collect(true);
-  std::set<std::string> without = collect(false);
+  auto with = collect(true);
+  auto without = collect(false);
   EXPECT_EQ(with, without);
   EXPECT_FALSE(with.empty());
 }
 
 TEST_F(EntailmentTest, EvalPatternsUnknownConstantYieldsNothing) {
   Add("ex:a", "ex:b", "ex:c");
-  ModelSource base(&store_, {model_});
-  auto patterns = ParsePatterns("(?x ex:never ?y)", {});
-  size_t solutions = 0;
-  ASSERT_TRUE(EvalPatterns(store_, *patterns, nullptr, base,
-                           [&](const IdBindings&) {
-                             ++solutions;
-                             return true;
-                           })
-                  .ok());
-  EXPECT_EQ(solutions, 0u);
+  EXPECT_TRUE(Solve("(?x ex:never ?y)").empty());
 }
 
 }  // namespace
