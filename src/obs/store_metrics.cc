@@ -25,13 +25,11 @@ StoreMetrics::StoreMetrics(MetricsRegistry* reg) : registry(reg) {
       "rdfdb_link_deletes_total", "rdf_link$ delete operations");
   link_rows_scanned = reg->RegisterCounter(
       "rdfdb_link_rows_scanned_total",
-      "rdf_link$ rows visited by Match/ScanModel");
+      "quad-cache rows visited by the scan kernel, plus rdf_link$ rows "
+      "visited by ScanModel");
 
   reif_checks = reg->RegisterCounter(
       "rdfdb_reif_checks_total", "IsLinkReified probes");
-  reif_dburi_resolutions = reg->RegisterCounter(
-      "rdfdb_reif_dburi_resolutions_total",
-      "DBUri strings resolved back to link ids");
 
   queries = reg->RegisterCounter(
       "rdfdb_query_total", "SDO_RDF_MATCH executions");

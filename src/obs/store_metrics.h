@@ -32,11 +32,12 @@ struct StoreMetrics {
   Counter* link_inserts;       ///< new rdf_link$ rows
   Counter* link_duplicates;    ///< inserts folded into an existing row
   Counter* link_deletes;       ///< rows removed (or cost-decremented)
-  Counter* link_rows_scanned;  ///< rows visited by Match/ScanModel
+  /// Quad-cache rows visited by LinkStore::Scan, plus rdf_link$ rows
+  /// visited by LinkStore::ScanModel.
+  Counter* link_rows_scanned;
 
   // Reification (DBUri-driven).
-  Counter* reif_checks;             ///< IsLinkReified probes
-  Counter* reif_dburi_resolutions;  ///< DBUri strings parsed back to link ids
+  Counter* reif_checks;  ///< IsLinkReified probes
 
   // SDO_RDF_MATCH.
   Counter* queries;        ///< SdoRdfMatch calls that reached execution
@@ -75,9 +76,11 @@ struct StoreMetrics {
   Gauge* epoch_lag;              ///< current epoch minus oldest pinned
   Gauge* retention_age_seconds;  ///< age of the oldest retired version
 
-  // Store-wide memory accounting (RdfStore::UpdateMemoryGauges /
-  // SnapshotRdfStore::UpdateMemoryGauges refresh these on demand — they
-  // are gauges of approximate heap footprint, not hot-path counters).
+  // Store-wide memory accounting: RdfStore::UpdateMemoryGauges sets all
+  // of these from one MemoryBreakdown, on demand
+  // (SnapshotRdfStore::UpdateMemoryGauges passes one that includes its
+  // dictionary and retired versions). Gauges of approximate heap
+  // footprint, not hot-path counters.
   Gauge* mem_value_store_bytes;     ///< rdf_value$/rdf_blank_node$ + indexes
   Gauge* mem_link_table_bytes;      ///< rdf_link$/rdf_node$ + indexes
   Gauge* mem_quad_cache_bytes;      ///< per-model id-native quad caches

@@ -1,7 +1,6 @@
 #include "rdf/rdf_store.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/timer.h"
 #include "obs/active_ops.h"
@@ -131,12 +130,6 @@ Result<ValueId> RdfStore::InternTerm(ModelId model_id, const Term& term) {
   return values_->LookupOrInsert(term);
 }
 
-std::optional<ValueId> RdfStore::LookupTerm(ModelId model_id,
-                                            const Term& term) const {
-  if (term.is_blank()) return values_->LookupBlank(model_id, term.lexical());
-  return values_->Lookup(term);
-}
-
 SdoRdfTripleS RdfStore::MakeHandle(const LinkRow& row) const {
   return SdoRdfTripleS(this, row.link_id, row.model_id, row.start_node_id,
                        row.p_value_id, row.end_node_id);
@@ -207,30 +200,11 @@ Result<SdoRdfTripleS> RdfStore::ReifyTriple(const std::string& model_name,
     return Status::InvalidArgument("LINK_ID " + std::to_string(rdf_t_id) +
                                    " is not in model " + model_name);
   }
-  Term resource = Term::Uri(DBUriForLink(rdf_t_id, db_->name()));
+  Term resource = Term::Uri(DBUriForLink(rdf_t_id));
   Term type = Term::Uri(std::string(kRdfType));
   Term statement = Term::Uri(std::string(kRdfStatement));
   return InsertTerms(model_id, resource, type, statement,
                      TripleContext::kDirect);
-}
-
-Result<bool> RdfStore::IsLinkReified(ModelId model_id, LinkId link_id) const {
-  metrics_->reif_checks->Inc();
-  metrics_->reif_dburi_resolutions->Inc();
-  Term resource = Term::Uri(DBUriForLink(link_id, db_->name()));
-  std::optional<ValueId> r_id = values_->Lookup(resource);
-  if (!r_id.has_value()) return false;
-  // Strictly read-only: no mutable caching of the rdf:type /
-  // rdf:Statement ids here — each is a single hash-index probe, and a
-  // const read path needs no first-call lock upgrade. Snapshot versions
-  // pre-resolve both ids at publish time instead.
-  std::optional<ValueId> type_id =
-      values_->Lookup(Term::Uri(std::string(kRdfType)));
-  if (!type_id.has_value()) return false;
-  std::optional<ValueId> stmt_id =
-      values_->Lookup(Term::Uri(std::string(kRdfStatement)));
-  if (!stmt_id.has_value()) return false;
-  return links_->Find(model_id, *r_id, *type_id, *stmt_id).has_value();
 }
 
 Result<SdoRdfTripleS> RdfStore::AssertAboutTriple(
@@ -253,7 +227,7 @@ Result<SdoRdfTripleS> RdfStore::AssertAboutTerms(const std::string& model_name,
     // previously reified)".
     RDFDB_RETURN_NOT_OK(ReifyTriple(model_name, rdf_t_id).status());
   }
-  Term o = Term::Uri(DBUriForLink(rdf_t_id, db_->name()));
+  Term o = Term::Uri(DBUriForLink(rdf_t_id));
   return InsertTerms(model_id, subject, property, o, TripleContext::kDirect);
 }
 
@@ -277,110 +251,6 @@ Result<SdoRdfTripleS> RdfStore::AssertImplied(const std::string& model_name,
       SdoRdfTripleS base,
       InsertTerms(model_id, s, p, o, TripleContext::kImplied));
   return AssertAboutTerms(model_name, model_id, rs, rp, base.rdf_t_id());
-}
-
-Result<bool> RdfStore::IsTriple(const std::string& model_name,
-                                const std::string& subject,
-                                const std::string& property,
-                                const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTerm(model_id, s);
-  std::optional<ValueId> p_id = LookupTerm(model_id, p);
-  std::optional<ValueId> o_id = LookupTerm(model_id, o);
-  if (!s_id || !p_id || !o_id) return false;
-  return links_->Find(model_id, *s_id, *p_id, *o_id).has_value();
-}
-
-Result<bool> RdfStore::IsReified(const std::string& model_name,
-                                 const std::string& subject,
-                                 const std::string& property,
-                                 const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTerm(model_id, s);
-  std::optional<ValueId> p_id = LookupTerm(model_id, p);
-  std::optional<ValueId> o_id = LookupTerm(model_id, o);
-  if (!s_id || !p_id || !o_id) return false;
-  std::optional<LinkRow> link = links_->Find(model_id, *s_id, *p_id, *o_id);
-  if (!link.has_value()) return false;
-  // "To determine if a triple is reified in a specified graph, a search
-  // is done for its DBUriType" — one more point lookup.
-  return IsLinkReified(model_id, link->link_id);
-}
-
-Result<LinkId> RdfStore::GetTripleId(const std::string& model_name,
-                                     const std::string& subject,
-                                     const std::string& property,
-                                     const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTerm(model_id, s);
-  std::optional<ValueId> p_id = LookupTerm(model_id, p);
-  std::optional<ValueId> o_id = LookupTerm(model_id, o);
-  if (!s_id || !p_id || !o_id) {
-    return Status::NotFound("triple not found in model " + model_name);
-  }
-  std::optional<LinkRow> row = links_->Find(model_id, *s_id, *p_id, *o_id);
-  if (!row.has_value()) {
-    return Status::NotFound("triple not found in model " + model_name);
-  }
-  return row->link_id;
-}
-
-Result<RdfStore::ModelStats> RdfStore::GetModelStats(
-    const std::string& model_name) const {
-  return GetModelStats(model_name, ModelStatsOptions{});
-}
-
-Result<RdfStore::ModelStats> RdfStore::GetModelStats(
-    const std::string& model_name, const ModelStatsOptions& options) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  ModelStats stats;
-
-  // The cheap counters never require a scan with per-row bookkeeping:
-  // the triple count is the maintained partition row counter, and the
-  // reified-statement count is one object-index probe for
-  // <?, rdf:type, rdf:Statement> (rdf:Statement is a URI, so canonical
-  // object equals stored object).
-  stats.triples = links_->TripleCount(model_id);
-  std::optional<ValueId> type_id =
-      values_->Lookup(Term::Uri(std::string(kRdfType)));
-  std::optional<ValueId> stmt_id =
-      values_->Lookup(Term::Uri(std::string(kRdfStatement)));
-  if (type_id && stmt_id) {
-    links_->MatchEach(model_id, std::nullopt, *type_id, *stmt_id,
-                      [&](const LinkRow&) {
-                        ++stats.reified_statements;
-                        return true;
-                      });
-  }
-
-  if (options.distinct_counts) {
-    std::unordered_set<ValueId> subjects, predicates, objects;
-    links_->ScanModel(model_id, [&](const LinkRow& row) {
-      subjects.insert(row.start_node_id);
-      predicates.insert(row.p_value_id);
-      objects.insert(row.end_node_id);
-      if (row.context == TripleContext::kImplied) ++stats.implied_statements;
-      return true;
-    });
-    stats.distinct_subjects = subjects.size();
-    stats.distinct_predicates = predicates.size();
-    stats.distinct_objects = objects.size();
-  } else {
-    links_->ScanModel(model_id, [&](const LinkRow& row) {
-      if (row.context == TripleContext::kImplied) ++stats.implied_statements;
-      return true;
-    });
-  }
-  return stats;
 }
 
 Status RdfStore::CheckConsistency() const {
@@ -444,39 +314,6 @@ Status RdfStore::DeleteTriple(const std::string& model_name,
   return links_->Delete(model_id, *s_id, *p_id, *o_id);
 }
 
-Result<SdoRdfTriple> RdfStore::ResolveTriple(LinkId rdf_t_id) const {
-  RDFDB_ASSIGN_OR_RETURN(LinkRow link, links_->Get(rdf_t_id));
-  SdoRdfTriple triple;
-  RDFDB_ASSIGN_OR_RETURN(triple.subject,
-                         values_->GetText(link.start_node_id));
-  RDFDB_ASSIGN_OR_RETURN(triple.property, values_->GetText(link.p_value_id));
-  RDFDB_ASSIGN_OR_RETURN(triple.object, values_->GetText(link.end_node_id));
-  return triple;
-}
-
-Result<std::string> RdfStore::ResolveSubject(LinkId rdf_t_id) const {
-  RDFDB_ASSIGN_OR_RETURN(LinkRow link, links_->Get(rdf_t_id));
-  return values_->GetText(link.start_node_id);
-}
-
-Result<std::string> RdfStore::ResolveProperty(LinkId rdf_t_id) const {
-  RDFDB_ASSIGN_OR_RETURN(LinkRow link, links_->Get(rdf_t_id));
-  return values_->GetText(link.p_value_id);
-}
-
-Result<std::string> RdfStore::ResolveObject(LinkId rdf_t_id) const {
-  RDFDB_ASSIGN_OR_RETURN(LinkRow link, links_->Get(rdf_t_id));
-  return values_->GetText(link.end_node_id);
-}
-
-Result<Term> RdfStore::TermForValueId(ValueId value_id) const {
-  return values_->GetTerm(value_id);
-}
-
-Result<std::string> RdfStore::TextForValueId(ValueId value_id) const {
-  return values_->GetText(value_id);
-}
-
 RdfStore::MemoryBreakdown RdfStore::MemoryUsage() const {
   MemoryBreakdown breakdown;
   breakdown.value_store_bytes = values_->ApproxBytes();
@@ -486,14 +323,17 @@ RdfStore::MemoryBreakdown RdfStore::MemoryUsage() const {
   return breakdown;
 }
 
-void RdfStore::UpdateMemoryGauges() const {
-  const MemoryBreakdown breakdown = MemoryUsage();
+void RdfStore::UpdateMemoryGauges(const MemoryBreakdown& breakdown) const {
   metrics_->mem_value_store_bytes->Set(
       static_cast<int64_t>(breakdown.value_store_bytes));
   metrics_->mem_link_table_bytes->Set(
       static_cast<int64_t>(breakdown.link_table_bytes));
   metrics_->mem_quad_cache_bytes->Set(
       static_cast<int64_t>(breakdown.quad_cache_bytes));
+  metrics_->mem_term_dict_bytes->Set(
+      static_cast<int64_t>(breakdown.term_dict_bytes));
+  metrics_->mem_retired_version_bytes->Set(
+      static_cast<int64_t>(breakdown.retired_version_bytes));
   metrics_->mem_tracked_heap_bytes->Set(
       static_cast<int64_t>(breakdown.tracked_heap_bytes));
   metrics_->active_operations->Set(

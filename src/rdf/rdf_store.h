@@ -4,6 +4,12 @@
 // One RdfStore is "one universe for all RDF data in the database": all
 // models share the central-schema tables, values and nodes are stored
 // once, and reasoning can span models (see query/match.h).
+//
+// This class owns the writes (model management, the constructors,
+// deletion, persistence) and the live state's StoreView hooks. The
+// point reads (IS_TRIPLE, IS_REIFIED, GET_TRIPLE_ID, model statistics,
+// triple resolution) are StoreView members, shared with the pinned
+// versions SnapshotRdfStore publishes.
 
 #ifndef RDFDB_RDF_RDF_STORE_H_
 #define RDFDB_RDF_RDF_STORE_H_
@@ -37,9 +43,9 @@ class Env;
 namespace rdfdb::rdf {
 
 /// Central RDF store. Not thread-safe (single-writer embedded model).
-/// Implements StoreView so queries run directly against the live state;
-/// SnapshotRdfStore publishes immutable StoreVersion views of it for
-/// lock-free readers.
+/// Implements StoreView's hooks over the live tables and quad caches, so
+/// every read runs directly against the live state; SnapshotRdfStore
+/// publishes immutable StoreVersion views of it for lock-free readers.
 class RdfStore : public StoreView {
  public:
   RdfStore();
@@ -62,8 +68,7 @@ class RdfStore : public StoreView {
   /// SDO_RDF.GET_MODEL_ID.
   Result<ModelId> GetModelId(const std::string& model_name) const override;
 
-  /// Names of all models.
-  std::vector<std::string> ModelNames() const;
+  std::vector<std::string> ModelNames() const override;
 
   /// Grant SELECT on the model's rdfm_<name> view to `user` ("accessible
   /// only to the owner of the model and users with SELECT privileges").
@@ -109,40 +114,7 @@ class RdfStore : public StoreView {
                                       const std::string& property,
                                       const std::string& object);
 
-  // ---- Queries (SDO_RDF package subprograms) ---------------------------
-
-  /// SDO_RDF.IS_TRIPLE: does the exact triple exist in the model?
-  Result<bool> IsTriple(const std::string& model_name,
-                        const std::string& subject,
-                        const std::string& property,
-                        const std::string& object) const;
-
-  /// The LINK_ID (rdf_t_id) of an existing triple; NotFound if absent.
-  Result<LinkId> GetTripleId(const std::string& model_name,
-                             const std::string& subject,
-                             const std::string& property,
-                             const std::string& object) const;
-
-  /// Per-model statistics (the SDO_RDF package's analysis surface).
-  struct ModelStats {
-    size_t triples = 0;
-    size_t distinct_subjects = 0;
-    size_t distinct_predicates = 0;
-    size_t distinct_objects = 0;
-    size_t reified_statements = 0;  ///< streamlined reification rows
-    size_t implied_statements = 0;  ///< CONTEXT = I rows
-  };
-  struct ModelStatsOptions {
-    /// Distinct subject/predicate/object counts require a full model
-    /// scan with three hash sets; callers that only want the cheap
-    /// counters (triples, reified, implied) turn this off and the scan
-    /// carries no per-row set inserts. The triple count always comes
-    /// from the partition row counter, never from the scan.
-    bool distinct_counts = true;
-  };
-  Result<ModelStats> GetModelStats(const std::string& model_name) const;
-  Result<ModelStats> GetModelStats(const std::string& model_name,
-                                   const ModelStatsOptions& options) const;
+  // ---- Deletion and consistency ----------------------------------------
 
   /// Invariant check used by tests and tooling: rdf_link$, the quad
   /// cache, rdf_node$ and rdf_value$ must agree (the cache holds every
@@ -151,14 +123,6 @@ class RdfStore : public StoreView {
   /// resolves). Corruption names the first violation.
   Status CheckConsistency() const;
 
-  /// SDO_RDF.IS_REIFIED: has the triple been reified in the model?
-  /// Implemented as a single-row lookup of the streamlined reification
-  /// triple (§7.3: "queries ... are based on a single row retrieval").
-  Result<bool> IsReified(const std::string& model_name,
-                         const std::string& subject,
-                         const std::string& property,
-                         const std::string& object) const;
-
   /// Remove one application-table reference to a triple; the row (and
   /// orphaned nodes) disappears when the last reference is deleted.
   Status DeleteTriple(const std::string& model_name,
@@ -166,24 +130,17 @@ class RdfStore : public StoreView {
                       const std::string& property,
                       const std::string& object);
 
-  // ---- Member-function support ----------------------------------------
-
-  /// Resolve the triple texts for a LINK_ID (GET_TRIPLE()).
-  Result<SdoRdfTriple> ResolveTriple(LinkId rdf_t_id) const;
-
-  /// Resolve single positions (GET_SUBJECT()/GET_PROPERTY()/GET_OBJECT()).
-  Result<std::string> ResolveSubject(LinkId rdf_t_id) const;
-  Result<std::string> ResolveProperty(LinkId rdf_t_id) const;
-  Result<std::string> ResolveObject(LinkId rdf_t_id) const;
-
-  /// Term / display text for a VALUE_ID.
-  Result<Term> TermForValueId(ValueId value_id) const override;
-  Result<std::string> TextForValueId(ValueId value_id) const;
-
   // ---- StoreView (live-state implementation) ---------------------------
 
   std::optional<ValueId> LookupValue(const Term& term) const override {
     return values_->Lookup(term);
+  }
+  std::optional<ValueId> LookupBlank(ModelId model_id,
+                                     const std::string& label) const override {
+    return values_->LookupBlank(model_id, label);
+  }
+  Result<Term> TermForValueId(ValueId value_id) const override {
+    return values_->GetTerm(value_id);
   }
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     return links_->CacheFor(model_id);
@@ -193,19 +150,11 @@ class RdfStore : public StoreView {
   /// model-scoped). Exposed for the loaders and the query layer.
   Result<ValueId> InternTerm(ModelId model_id, const Term& term);
 
-  /// VALUE_ID lookup without insertion.
-  std::optional<ValueId> LookupTerm(ModelId model_id, const Term& term) const;
-
   /// Insert an already-parsed triple (used by bulk loaders). Returns the
   /// storage object; `context` defaults to Direct.
   Result<SdoRdfTripleS> InsertParsedTriple(
       ModelId model_id, const Term& subject, const Term& property,
       const Term& object, TripleContext context = TripleContext::kDirect);
-
-  /// The reification lookup used by both IsReified and the assertion
-  /// constructors: is <DBUri(link), rdf:type, rdf:Statement> present in
-  /// the model?
-  Result<bool> IsLinkReified(ModelId model_id, LinkId link_id) const;
 
   // ---- Substrate access -------------------------------------------------
 
@@ -277,8 +226,11 @@ class RdfStore : public StoreView {
   /// context (same rule as any mutation).
   MemoryBreakdown MemoryUsage() const;
 
-  /// MemoryUsage() pushed into the registered mem_* gauges.
-  void UpdateMemoryGauges() const;
+  /// Set every mem_* gauge from `breakdown` (and refresh the
+  /// active-operations gauge).
+  void UpdateMemoryGauges(const MemoryBreakdown& breakdown) const;
+  /// UpdateMemoryGauges(MemoryUsage()).
+  void UpdateMemoryGauges() const { UpdateMemoryGauges(MemoryUsage()); }
 
   // ---- Persistence -------------------------------------------------------
 

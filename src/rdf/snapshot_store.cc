@@ -1,13 +1,9 @@
 #include "rdf/snapshot_store.h"
 
-#include <unordered_set>
-
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/resource_tracker.h"
 #include "obs/store_metrics.h"
-#include "rdf/reification.h"
-#include "rdf/vocab.h"
 
 namespace rdfdb::rdf {
 
@@ -26,143 +22,13 @@ std::optional<ValueId> StoreVersion::LookupValue(const Term& term) const {
   return dict_->Lookup(term);
 }
 
+std::optional<ValueId> StoreVersion::LookupBlank(
+    ModelId model_id, const std::string& label) const {
+  return dict_->LookupBlank(model_id, label);
+}
+
 Result<Term> StoreVersion::TermForValueId(ValueId value_id) const {
   return dict_->TermForValueId(value_id);
-}
-
-std::optional<ValueId> StoreVersion::LookupTermId(ModelId model_id,
-                                                  const Term& term) const {
-  if (term.is_blank()) return dict_->LookupBlank(model_id, term.lexical());
-  return dict_->Lookup(term);
-}
-
-Result<bool> StoreVersion::IsTriple(const std::string& model_name,
-                                    const std::string& subject,
-                                    const std::string& property,
-                                    const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTermId(model_id, s);
-  std::optional<ValueId> p_id = LookupTermId(model_id, p);
-  std::optional<ValueId> o_id = LookupTermId(model_id, o);
-  if (!s_id || !p_id || !o_id) return false;
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return false;
-  return cache->FindSpo(*s_id, *p_id, *o_id) != nullptr;
-}
-
-Result<bool> StoreVersion::IsReified(const std::string& model_name,
-                                     const std::string& subject,
-                                     const std::string& property,
-                                     const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTermId(model_id, s);
-  std::optional<ValueId> p_id = LookupTermId(model_id, p);
-  std::optional<ValueId> o_id = LookupTermId(model_id, o);
-  if (!s_id || !p_id || !o_id) return false;
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return false;
-  const LinkStore::IdQuad* quad = cache->FindSpo(*s_id, *p_id, *o_id);
-  if (quad == nullptr) return false;
-  return IsLinkReified(model_id, quad->link_id);
-}
-
-Result<LinkId> StoreVersion::GetTripleId(const std::string& model_name,
-                                         const std::string& subject,
-                                         const std::string& property,
-                                         const std::string& object) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
-  RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  std::optional<ValueId> s_id = LookupTermId(model_id, s);
-  std::optional<ValueId> p_id = LookupTermId(model_id, p);
-  std::optional<ValueId> o_id = LookupTermId(model_id, o);
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  const LinkStore::IdQuad* quad =
-      (s_id && p_id && o_id && cache != nullptr)
-          ? cache->FindSpo(*s_id, *p_id, *o_id)
-          : nullptr;
-  if (quad == nullptr) {
-    return Status::NotFound("triple not found in model " + model_name);
-  }
-  return quad->link_id;
-}
-
-Result<bool> StoreVersion::IsLinkReified(ModelId model_id,
-                                         LinkId link_id) const {
-  if (metrics_ != nullptr) {
-    metrics_->reif_checks->Inc();
-    metrics_->reif_dburi_resolutions->Inc();
-  }
-  // The vocabulary ids were resolved once at publish time; the only
-  // per-call dictionary probe is the DBUri itself.
-  if (!reif_type_id_.has_value() || !reif_stmt_id_.has_value()) return false;
-  std::optional<ValueId> r_id =
-      dict_->Lookup(Term::Uri(DBUriForLink(link_id, db_name_)));
-  if (!r_id.has_value()) return false;
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return false;
-  // rdf:Statement is a URI, so its lexical object equals its canonical
-  // object and the (s, p, o) identity probe answers the query form.
-  return cache->FindSpo(*r_id, *reif_type_id_, *reif_stmt_id_) != nullptr;
-}
-
-Result<RdfStore::ModelStats> StoreVersion::GetModelStats(
-    const std::string& model_name,
-    const RdfStore::ModelStatsOptions& options) const {
-  RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
-  RdfStore::ModelStats stats;
-  const LinkStore::ModelIdCache* cache = CacheFor(model_id);
-  if (cache == nullptr) return stats;  // registered but empty model
-
-  stats.triples = cache->live_count();
-  stats.implied_statements = cache->implied_count;
-  if (reif_type_id_.has_value() && reif_stmt_id_.has_value()) {
-    LinkStore::Scan(
-        *cache, std::nullopt, *reif_type_id_, *reif_stmt_id_,
-        metrics_ != nullptr ? metrics_->link_rows_scanned : nullptr,
-        [&](uint32_t, ValueId, ValueId, ValueId, ValueId) {
-          ++stats.reified_statements;
-          return true;
-        });
-  }
-
-  if (options.distinct_counts) {
-    std::unordered_set<ValueId> subjects, predicates, objects;
-    for (const LinkStore::IdQuad& quad : cache->quads) {
-      if (LinkStore::ModelIdCache::Dead(quad)) continue;
-      subjects.insert(quad.s);
-      predicates.insert(quad.p);
-      objects.insert(quad.o);
-    }
-    stats.distinct_subjects = subjects.size();
-    stats.distinct_predicates = predicates.size();
-    stats.distinct_objects = objects.size();
-  }
-  return stats;
-}
-
-Result<SdoRdfTriple> StoreVersion::ResolveTriple(LinkId rdf_t_id) const {
-  for (const auto& [model_id, cache] : caches_) {
-    int64_t idx = cache->IndexOfLink(rdf_t_id);
-    if (idx < 0) continue;
-    const LinkStore::IdQuad& quad = cache->quads[static_cast<uint32_t>(idx)];
-    SdoRdfTriple triple;
-    RDFDB_ASSIGN_OR_RETURN(Term s, dict_->TermForValueId(quad.s));
-    RDFDB_ASSIGN_OR_RETURN(Term p, dict_->TermForValueId(quad.p));
-    RDFDB_ASSIGN_OR_RETURN(Term o, dict_->TermForValueId(quad.o));
-    triple.subject = s.ToDisplayString();
-    triple.property = p.ToDisplayString();
-    triple.object = o.ToDisplayString();
-    return triple;
-  }
-  return Status::NotFound("LINK_ID " + std::to_string(rdf_t_id));
 }
 
 size_t StoreVersion::TripleCount(ModelId model_id) const {
@@ -280,10 +146,6 @@ Status SnapshotRdfStore::PublishLocked() {
     version->model_names_.push_back(name);
   }
   version->dict_ = &dict_;
-  version->reif_type_id_ = dict_.Lookup(Term::Uri(std::string(kRdfType)));
-  version->reif_stmt_id_ =
-      dict_.Lookup(Term::Uri(std::string(kRdfStatement)));
-  version->db_name_ = store_.database().name();
   version->metrics_ = store_.metrics();
   version->slow_query_log_ = store_.slow_query_log();
   version->timeline_ = store_.timeline();
@@ -363,13 +225,10 @@ RdfStore::MemoryBreakdown SnapshotRdfStore::MemoryUsage() const {
 }
 
 void SnapshotRdfStore::UpdateMemoryGauges() const {
+  const RdfStore::MemoryBreakdown breakdown = MemoryUsage();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  store_.UpdateMemoryGauges();
+  store_.UpdateMemoryGauges(breakdown);
   obs::StoreMetrics* metrics = store_.metrics();
-  metrics->mem_term_dict_bytes->Set(
-      static_cast<int64_t>(dict_.ApproxBytes()));
-  metrics->mem_retired_version_bytes->Set(
-      static_cast<int64_t>(gc_.RetiredBytes()));
   metrics->retired_versions->Set(
       static_cast<int64_t>(gc_.RetiredOutstanding()));
   metrics->epoch_lag->Set(static_cast<int64_t>(gc_.OldestPinLag()));

@@ -6,14 +6,14 @@
 // (single, internally serialized) writer batches
 // mutations against the live RdfStore and, at each publish boundary,
 // snapshots the store's read state into an immutable StoreVersion —
-// the copy-on-write per-model quad caches, a model-name map, the
-// lock-free term dictionary view, and the pre-resolved reification
-// vocabulary ids — and swaps it in behind one atomic pointer.
+// the copy-on-write per-model quad caches, a model-name map and the
+// lock-free term dictionary view — and swaps it in behind one atomic
+// pointer.
 //
 // Readers pin an epoch (one CAS on an idle per-reader slot), load the
 // current version pointer, and run every lookup — IS_TRIPLE,
 // IS_REIFIED, GET_TRIPLE_ID, stats, and full SDO_RDF_MATCH through the
-// compiled executor's leaf scans — against that frozen object with
+// compiled executor's scan kernel — against that frozen object with
 // zero locks and zero per-row atomics. Superseded versions go onto an
 // epoch-stamped retire list and are freed once the oldest pinned
 // reader has moved past them (rdf/epoch.h has the full memory-ordering
@@ -50,10 +50,11 @@ namespace rdfdb::rdf {
 
 class SnapshotRdfStore;
 
-/// One immutable published version of the store's read state. All
-/// methods are const, touch no locks and no shared mutable state, and
-/// mirror the corresponding RdfStore reads exactly (same results, same
-/// error texts) — the differential tests rely on that.
+/// One immutable published version of the store's read state. It
+/// implements StoreView's hooks over its pinned caches and the term
+/// dictionary, so the point reads, statistics and queries it answers
+/// are the same StoreView code the live RdfStore runs. All methods are
+/// const and touch no locks and no shared mutable state.
 class StoreVersion : public StoreView {
  public:
   StoreVersion(const StoreVersion&) = delete;
@@ -62,7 +63,12 @@ class StoreVersion : public StoreView {
   // ---- StoreView --------------------------------------------------------
 
   Result<ModelId> GetModelId(const std::string& model_name) const override;
+  std::vector<std::string> ModelNames() const override {
+    return model_names_;
+  }
   std::optional<ValueId> LookupValue(const Term& term) const override;
+  std::optional<ValueId> LookupBlank(ModelId model_id,
+                                     const std::string& label) const override;
   Result<Term> TermForValueId(ValueId value_id) const override;
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     auto it = caches_.find(model_id);
@@ -73,34 +79,6 @@ class StoreVersion : public StoreView {
     return slow_query_log_;
   }
   obs::Timeline* timeline() const override { return timeline_; }
-
-  // ---- Point reads (RdfStore read-API mirrors) --------------------------
-
-  Result<bool> IsTriple(const std::string& model_name,
-                        const std::string& subject,
-                        const std::string& property,
-                        const std::string& object) const;
-
-  Result<bool> IsReified(const std::string& model_name,
-                         const std::string& subject,
-                         const std::string& property,
-                         const std::string& object) const;
-
-  Result<LinkId> GetTripleId(const std::string& model_name,
-                             const std::string& subject,
-                             const std::string& property,
-                             const std::string& object) const;
-
-  Result<bool> IsLinkReified(ModelId model_id, LinkId link_id) const;
-
-  Result<RdfStore::ModelStats> GetModelStats(
-      const std::string& model_name,
-      const RdfStore::ModelStatsOptions& options = {}) const;
-
-  Result<SdoRdfTriple> ResolveTriple(LinkId rdf_t_id) const;
-
-  /// Names of all models, sorted.
-  const std::vector<std::string>& ModelNames() const { return model_names_; }
 
   /// Triples in one model (0 when the model is unknown or empty).
   size_t TripleCount(ModelId model_id) const;
@@ -115,19 +93,11 @@ class StoreVersion : public StoreView {
   friend class SnapshotRdfStore;
   StoreVersion() = default;
 
-  /// LookupTerm mirror: blank nodes resolve through the model-scoped
-  /// blank table.
-  std::optional<ValueId> LookupTermId(ModelId model_id,
-                                      const Term& term) const;
-
   std::unordered_map<int64_t, std::shared_ptr<const LinkStore::ModelIdCache>>
       caches_;
   std::unordered_map<std::string, ModelId> models_by_lower_name_;
   std::vector<std::string> model_names_;  ///< sorted, original case
   const TermDict* dict_ = nullptr;        ///< owned by the SnapshotRdfStore
-  std::optional<ValueId> reif_type_id_;   ///< rdf:type, if interned
-  std::optional<ValueId> reif_stmt_id_;   ///< rdf:Statement, if interned
-  std::string db_name_;
   obs::StoreMetrics* metrics_ = nullptr;
   obs::SlowQueryLog* slow_query_log_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
@@ -294,8 +264,8 @@ class SnapshotRdfStore {
   RdfStore::MemoryBreakdown MemoryUsage() const;
 
   /// MemoryUsage() pushed into the mem_* gauges, plus a refresh of the
-  /// retention-age gauge and the epoch-stall watchdog check. This is
-  /// the stats server's refresh hook target.
+  /// epoch gauges and the epoch-stall watchdog check. This is the stats
+  /// server's refresh hook target.
   void UpdateMemoryGauges() const;
 
   /// Seconds a retired version may stay blocked before the watchdog

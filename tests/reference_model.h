@@ -33,9 +33,11 @@
 //     replays every successful mutation since, re-finding reified
 //     triples by their text.
 //
-// Blank nodes are not modelled beyond exact-Term identity inside one
-// model (the store scopes their labels per model, which the generators
-// here never exercise).
+// Blank nodes are modelled by exact-Term identity inside one model,
+// which is the store's per-model scoping of their labels: the same label
+// in two models names two nodes (test_snapshot_store's differential
+// reuses labels across models). The store renames blank nodes
+// internally, so resolved texts differ from the labels here.
 
 #ifndef RDFDB_TESTS_REFERENCE_MODEL_H_
 #define RDFDB_TESTS_REFERENCE_MODEL_H_

@@ -3,12 +3,14 @@
 // Three layers of coverage:
 //   1. Functional mirrors — every read on a pinned StoreVersion returns
 //      exactly what the live RdfStore returns (results AND error texts).
-//   2. Randomized differential — a seeded op stream drives the snapshot
+//   2. Randomized differential — a seeded op stream over two models
+//      (with blank-node labels reused across them) drives the snapshot
 //      store and the brute-force reference model (reference_model.h) in
-//      lockstep; after every mutation the read APIs (IsTriple /
-//      IsReified / GetTripleId / GetModelStats / SDO_RDF_MATCH) must
-//      agree, which also proves read-your-writes at each publish
-//      boundary.
+//      lockstep; after every mutation the shared StoreView reads
+//      (IsTriple / IsReified / GetTripleId, and periodically
+//      GetModelStats / ResolveTriple / SDO_RDF_MATCH) must agree on the
+//      live store and on a pinned version, which also proves
+//      read-your-writes at each publish boundary.
 //   3. Concurrency — repeatable reads under a held pin, linearizable
 //      visibility across a release/acquire watermark, epoch-based
 //      version reclamation, and a many-reader/one-writer hammer at
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -133,31 +136,154 @@ DiffUniverse SmallUniverse() {
   for (int i = 0; i < 8; ++i) u.subjects.push_back("gov:s" + std::to_string(i));
   for (int i = 0; i < 3; ++i) u.predicates.push_back("gov:p" + std::to_string(i));
   for (int i = 0; i < 5; ++i) u.objects.push_back("gov:o" + std::to_string(i));
+  // Blank nodes are model-scoped: the two models below reuse these
+  // labels for different nodes.
+  for (const char* label : {"_:b0", "_:b1"}) {
+    u.subjects.push_back(label);
+    u.objects.push_back(label);
+  }
   return u;
 }
 
+/// The store names a blank node per model, so a resolved blank position
+/// cannot equal the reference's label. It must instead map one-to-one:
+/// one text per (model, label), and no text shared by two of them.
+class BlankNames {
+ public:
+  bool Matches(const std::string& model, const Term& want,
+               const std::string& got) {
+    if (!want.is_blank()) return got == want.ToDisplayString();
+    const std::string key = model + " " + want.ToDisplayString();
+    auto text = text_.emplace(key, got).first;
+    auto owner = owner_.emplace(got, key).first;
+    return got.rfind("_:", 0) == 0 && text->second == got &&
+           owner->second == key;
+  }
+  /// The reference's display text for a resolved term text.
+  std::string ToReference(const std::string& got) const {
+    auto owner = owner_.find(got);
+    if (owner == owner_.end()) return got;
+    return owner->second.substr(owner->second.find(' ') + 1);
+  }
+
+ private:
+  std::map<std::string, std::string> text_;   ///< "model label" → text
+  std::map<std::string, std::string> owner_;  ///< text → "model label"
+};
+
 TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
   const DiffUniverse universe = SmallUniverse();
+  const std::vector<std::string> models = {"m", "m2"};
   std::mt19937_64 rng(20260808);
 
   SnapshotRdfStore snapshot_store;
   test::ReferenceStore reference;
-  ASSERT_TRUE(snapshot_store.CreateRdfModel("m", "mdata", "triple").ok());
-  ASSERT_TRUE(reference.CreateModel("m").ok());
+  for (const std::string& model : models) {
+    ASSERT_TRUE(snapshot_store.CreateRdfModel(model, model + "data", "triple")
+                    .ok());
+    ASSERT_TRUE(reference.CreateModel(model).ok());
+  }
 
   auto pick = [&](const std::vector<std::string>& pool) -> const std::string& {
     return pool[rng() % pool.size()];
   };
+  BlankNames blanks;
+
+  struct Probe {
+    std::string model, s, p, o;
+  };
+  // Every read the live store and a pinned version share, checked
+  // against the reference model on one view. `arm` names the view in
+  // failure messages.
+  auto check_point_reads = [&](const StoreView& view, const char* arm,
+                               const std::vector<Probe>& probes, int step) {
+    for (const Probe& q : probes) {
+      const std::string where = std::string(arm) + " step " +
+                                std::to_string(step) + " " + q.model + " (" +
+                                q.s + ", " + q.p + ", " + q.o + ")";
+      auto is_a = view.IsTriple(q.model, q.s, q.p, q.o);
+      auto is_b = reference.IsTriple(q.model, q.s, q.p, q.o);
+      ASSERT_TRUE(is_a.ok() && is_b.ok()) << where;
+      EXPECT_EQ(*is_a, *is_b) << "IsTriple " << where;
+      auto reif_a = view.IsReified(q.model, q.s, q.p, q.o);
+      auto reif_b = reference.IsReified(q.model, q.s, q.p, q.o);
+      ASSERT_TRUE(reif_a.ok() && reif_b.ok()) << where;
+      EXPECT_EQ(*reif_a, *reif_b) << "IsReified " << where;
+      auto id_a = view.GetTripleId(q.model, q.s, q.p, q.o);
+      auto id_b = reference.GetTripleId(q.model, q.s, q.p, q.o);
+      EXPECT_EQ(id_a.ok(), id_b.ok()) << "GetTripleId " << where;
+      if (id_a.ok() && id_b.ok()) {
+        EXPECT_EQ(*id_a, *id_b) << "GetTripleId " << where;
+      }
+    }
+  };
+  auto check_model_reads = [&](const StoreView& view, const char* arm,
+                               const std::string& model, int step) {
+    const std::string where =
+        std::string(arm) + " step " + std::to_string(step) + " " + model;
+    auto stats_a = view.GetModelStats(model);
+    auto stats_b = reference.GetModelStats(model);
+    ASSERT_TRUE(stats_a.ok() && stats_b.ok()) << where;
+    EXPECT_EQ(stats_a->triples, stats_b->triples) << where;
+    EXPECT_EQ(stats_a->reified_statements, stats_b->reified_statements)
+        << where;
+    EXPECT_EQ(stats_a->implied_statements, stats_b->implied_statements)
+        << where;
+    EXPECT_EQ(stats_a->distinct_subjects, stats_b->distinct_subjects)
+        << where;
+    EXPECT_EQ(stats_a->distinct_predicates, stats_b->distinct_predicates)
+        << where;
+    EXPECT_EQ(stats_a->distinct_objects, stats_b->distinct_objects) << where;
+
+    // Triple resolution (the member functions) for every stored triple.
+    auto triples = reference.Triples(model);
+    ASSERT_TRUE(triples.ok()) << where;
+    for (const test::RefTriple& t : **triples) {
+      auto resolved = view.ResolveTriple(t.link);
+      ASSERT_TRUE(resolved.ok()) << where << " LINK_ID " << t.link;
+      EXPECT_TRUE(blanks.Matches(model, t.s, resolved->subject))
+          << where << " " << resolved->ToString();
+      EXPECT_TRUE(blanks.Matches(model, t.p, resolved->property))
+          << where << " " << resolved->ToString();
+      EXPECT_TRUE(blanks.Matches(model, t.o, resolved->object))
+          << where << " " << resolved->ToString();
+      EXPECT_EQ(view.ResolveSubject(t.link).value_or(""), resolved->subject);
+      EXPECT_EQ(view.ResolveProperty(t.link).value_or(""),
+                resolved->property);
+      EXPECT_EQ(view.ResolveObject(t.link).value_or(""), resolved->object);
+    }
+
+    // Full SDO_RDF_MATCH differential: the compiled executor over the
+    // view vs the model's answer, as multisets of (s, o) rows.
+    test::RefQuery query;
+    query.patterns = "(?s " + universe.predicates[0] + " ?o)";
+    auto rows_a = query::SdoRdfMatch(view, query.patterns, {model}, {}, "");
+    auto rows_b = reference.Match(query, {model});
+    ASSERT_TRUE(rows_a.ok() && rows_b.ok()) << where;
+    std::vector<std::string> got, want;
+    for (size_t r = 0; r < rows_a->row_count(); ++r) {
+      got.push_back(blanks.ToReference(rows_a->Get(r, "s")) + " " +
+                    blanks.ToReference(rows_a->Get(r, "o")));
+    }
+    for (const auto& row : rows_b->rows) {
+      want.push_back(row[0].ToDisplayString() + " " +
+                     row[1].ToDisplayString());
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << where;
+  };
 
   for (int step = 0; step < 400; ++step) {
+    const std::string& model = pick(models);
     const std::string& s = pick(universe.subjects);
     const std::string& p = pick(universe.predicates);
     const std::string& o = pick(universe.objects);
-    switch (rng() % 4) {
+    switch (rng() % 5) {
       case 0:
       case 1: {  // insert (weighted up so the store actually grows)
-        auto a = snapshot_store.InsertTriple("m", s, p, o);
-        auto b = reference.Insert("m", s, p, o);
+        auto a = snapshot_store.InsertTriple(model, s, p, o);
+        auto b = reference.Insert(model, s, p, o);
         ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
         if (a.ok()) {
           ASSERT_EQ(a->rdf_t_id(), *b) << "step " << step;
@@ -165,19 +291,19 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
         break;
       }
       case 2: {  // delete
-        Status a = snapshot_store.DeleteTriple("m", s, p, o);
-        Status b = reference.Delete("m", s, p, o);
+        Status a = snapshot_store.DeleteTriple(model, s, p, o);
+        Status b = reference.Delete(model, s, p, o);
         ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
         break;
       }
       case 3: {  // reify (when the triple exists)
-        auto id_a = snapshot_store.GetTripleId("m", s, p, o);
-        auto id_b = reference.GetTripleId("m", s, p, o);
+        auto id_a = snapshot_store.GetTripleId(model, s, p, o);
+        auto id_b = reference.GetTripleId(model, s, p, o);
         ASSERT_EQ(id_a.ok(), id_b.ok()) << "step " << step;
         if (id_a.ok()) {
           ASSERT_EQ(*id_a, *id_b) << "step " << step;
-          auto a = snapshot_store.ReifyTriple("m", *id_a);
-          auto b = reference.Reify("m", *id_b);
+          auto a = snapshot_store.ReifyTriple(model, *id_a);
+          auto b = reference.Reify(model, *id_b);
           ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
           if (a.ok()) {
             ASSERT_EQ(a->rdf_t_id(), *b) << "step " << step;
@@ -185,63 +311,48 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
         }
         break;
       }
+      case 4: {  // assertion about an implied statement
+        const std::string& rs = pick(universe.subjects);
+        const std::string& rp = pick(universe.predicates);
+        auto a = snapshot_store.AssertImplied(model, rs, rp, s, p, o);
+        auto b = reference.AssertImplied(model, rs, rp, s, p, o);
+        ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+        if (a.ok()) {
+          ASSERT_EQ(a->rdf_t_id(), *b) << "step " << step;
+        }
+        break;
+      }
     }
 
     // Read-your-writes + full agreement after EVERY mutation: probe a
-    // random sample of the universe on both sides.
-    auto snap = snapshot_store.Snapshot();
+    // random sample of the universe on the live store and on a pinned
+    // version.
+    std::vector<Probe> probes;
     for (int probe = 0; probe < 4; ++probe) {
-      const std::string& ps = pick(universe.subjects);
-      const std::string& pp = pick(universe.predicates);
-      const std::string& po = pick(universe.objects);
-      auto is_a = snap->IsTriple("m", ps, pp, po);
-      auto is_b = reference.IsTriple("m", ps, pp, po);
-      ASSERT_TRUE(is_a.ok() && is_b.ok());
-      ASSERT_EQ(*is_a, *is_b) << "step " << step << " IsTriple(" << ps
-                              << "," << pp << "," << po << ")";
-      auto reif_a = snap->IsReified("m", ps, pp, po);
-      auto reif_b = reference.IsReified("m", ps, pp, po);
-      ASSERT_TRUE(reif_a.ok() && reif_b.ok());
-      ASSERT_EQ(*reif_a, *reif_b) << "step " << step;
-      auto id_a = snap->GetTripleId("m", ps, pp, po);
-      auto id_b = reference.GetTripleId("m", ps, pp, po);
-      ASSERT_EQ(id_a.ok(), id_b.ok()) << "step " << step;
-      if (id_a.ok()) {
-        ASSERT_EQ(*id_a, *id_b) << "step " << step;
-      }
+      probes.push_back(Probe{pick(models), pick(universe.subjects),
+                             pick(universe.predicates),
+                             pick(universe.objects)});
     }
+    auto snap = snapshot_store.Snapshot();
+    ASSERT_TRUE(snapshot_store
+                    .Apply([&](RdfStore& live) {
+                      check_point_reads(live, "live", probes, step);
+                    })
+                    .ok());
+    check_point_reads(snap.view(), "pinned", probes, step);
 
     if (step % 25 == 0) {
-      auto stats_a = snap->GetModelStats("m");
-      auto stats_b = reference.GetModelStats("m");
-      ASSERT_TRUE(stats_a.ok() && stats_b.ok());
-      EXPECT_EQ(stats_a->triples, stats_b->triples) << "step " << step;
-      EXPECT_EQ(stats_a->reified_statements, stats_b->reified_statements);
-      EXPECT_EQ(stats_a->distinct_subjects, stats_b->distinct_subjects);
-      EXPECT_EQ(stats_a->distinct_predicates, stats_b->distinct_predicates);
-      EXPECT_EQ(stats_a->distinct_objects, stats_b->distinct_objects);
-
-      // Full SDO_RDF_MATCH differential: the snapshot path (compiled
-      // executor over the pinned leaf scan) vs the model's answer, as
-      // multisets of (s, o) rows.
-      test::RefQuery query;
-      query.patterns = "(?s " + universe.predicates[0] + " ?o)";
-      auto rows_a =
-          query::SdoRdfMatch(snap.view(), query.patterns, {"m"}, {}, "");
-      auto rows_b = reference.Match(query, {"m"});
-      ASSERT_TRUE(rows_a.ok() && rows_b.ok());
-      std::vector<std::string> got, want;
-      for (size_t r = 0; r < rows_a->row_count(); ++r) {
-        got.push_back(rows_a->Get(r, "s") + " " + rows_a->Get(r, "o"));
+      for (const std::string& m : models) {
+        ASSERT_TRUE(snapshot_store
+                        .Apply([&](RdfStore& live) {
+                          check_model_reads(live, "live", m, step);
+                        })
+                        .ok());
+        check_model_reads(snap.view(), "pinned", m, step);
       }
-      for (const auto& row : rows_b->rows) {
-        want.push_back(row[0].ToDisplayString() + " " +
-                       row[1].ToDisplayString());
-      }
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      ASSERT_EQ(got, want) << "step " << step;
     }
+    // Both arms have reported; stop at the first step that disagrees.
+    if (HasFailure()) return;
   }
 }
 
