@@ -1,20 +1,21 @@
-// Sync-mode A/B: insert throughput through LoggedRdfStore at each
-// redo-log durability level (kNone / kBatch / kEveryRecord), plus the
-// recovery-replay cost of the log those inserts produced. Feeds the
-// EXPERIMENTS.md "Redo-log sync modes" table.
+// Sync-mode A/B: insert throughput through a logged SnapshotRdfStore
+// at each redo-log durability level (kNone / kBatch / kEveryRecord),
+// one call (one record, one published version) per insert, plus the
+// recovery-replay cost of such a log. Feeds the EXPERIMENTS.md
+// "Redo-log sync modes" table.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
-#include "rdf/redo_log.h"
+#include "rdf/snapshot_store.h"
 
 namespace rdfdb::bench {
 namespace {
 
-using rdf::LoggedRdfStore;
 using rdf::LoggedStoreOptions;
+using rdf::SnapshotRdfStore;
 using rdf::SyncMode;
 
 std::string BasePath() { return "/tmp/rdfdb_bench_sync"; }
@@ -23,9 +24,9 @@ void RemoveStoreFiles(const std::string& base) {
   auto rm = [](const std::string& p) { std::remove(p.c_str()); };
   rm(base);
   rm(base + ".log");
-  rm(LoggedRdfStore::ManifestPath(base));
+  rm(SnapshotRdfStore::ManifestPath(base));
   for (uint64_t gen = 1; gen <= 4; ++gen) {
-    rm(LoggedRdfStore::GenerationFileName(base, gen));
+    rm(SnapshotRdfStore::GenerationFileName(base, gen));
   }
 }
 
@@ -49,7 +50,7 @@ void BM_LoggedInsert(benchmark::State& state) {
     state.PauseTiming();
     const std::string base = BasePath();
     RemoveStoreFiles(base);
-    auto db = LoggedRdfStore::Open(base, base + ".log", options);
+    auto db = SnapshotRdfStore::Open(base, base + ".log", options);
     if (!db.ok()) {
       state.SkipWithError(db.status().ToString().c_str());
       return;
@@ -89,26 +90,29 @@ void BM_RecoveryReplay(benchmark::State& state) {
   {
     LoggedStoreOptions options;
     options.sync_mode = SyncMode::kNone;  // build the log fast
-    auto db = LoggedRdfStore::Open(base, base + ".log", options);
+    auto db = SnapshotRdfStore::Open(base, base + ".log", options);
     if (!db.ok()) {
       state.SkipWithError(db.status().ToString().c_str());
       return;
     }
     (void)(*db)->CreateRdfModel("bench", "bdata", "triple");
-    for (int64_t i = 0; i < n; ++i) {
-      (void)(*db)->InsertTriple("bench", "ex:s" + std::to_string(i % 997),
+    // One batch: each insert still appends its own record, but the
+    // store publishes once instead of once per insert.
+    (*db)->Apply([&](rdf::RdfStore& live) {
+      for (int64_t i = 0; i < n; ++i) {
+        (void)live.InsertTriple("bench", "ex:s" + std::to_string(i % 997),
                                 "ex:p" + std::to_string(i % 13),
                                 "ex:o" + std::to_string(i));
-    }
+      }
+    });
   }
   for (auto _ : state) {
-    auto recovered = LoggedRdfStore::Open(base, base + ".log");
+    auto recovered = SnapshotRdfStore::Open(base, base + ".log");
     if (!recovered.ok()) {
       state.SkipWithError(recovered.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(
-        (*recovered)->store().links().TotalTripleCount());
+    benchmark::DoNotOptimize((*recovered)->Snapshot()->TotalTripleCount());
   }
   state.SetItemsProcessed(state.iterations() * n);
   RemoveStoreFiles(base);

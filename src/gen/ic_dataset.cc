@@ -82,6 +82,7 @@ Result<IcScenario> BuildIcScenario(RdfStore* store) {
   (void)fbi_john;
 
   // IC.ADDRESS: the relational table Figure 8 joins against.
+  store->MarkUnloggedWrite();
   auto address = store->database().CreateTable(
       "IC", "ADDRESS",
       storage::Schema({

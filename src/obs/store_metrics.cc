@@ -91,7 +91,7 @@ StoreMetrics::StoreMetrics(MetricsRegistry* reg) : registry(reg) {
       "pre-checkpoint redo-log records skipped by seq during replay");
   recovery_opens = reg->RegisterCounter(
       "rdfdb_recovery_opens_total",
-      "LoggedRdfStore::Open crash-recovery cycles");
+      "SnapshotRdfStore::Open crash-recovery cycles");
 
   versions_published = reg->RegisterCounter(
       "rdfdb_versions_published_total",

@@ -67,7 +67,7 @@ struct StoreMetrics {
   Histogram* replay_ns;      ///< whole-log replay time
   Counter* replay_torn_tails;    ///< torn final records dropped on replay
   Counter* replay_stale_skipped; ///< pre-checkpoint records skipped by seq
-  Counter* recovery_opens;       ///< LoggedRdfStore::Open recoveries
+  Counter* recovery_opens;       ///< SnapshotRdfStore::Open recoveries
 
   // Snapshot-store version publishing (epoch-based read path).
   Counter* versions_published;   ///< StoreVersions swapped in

@@ -40,6 +40,7 @@ Status InferenceEngine::CreateRulebase(const std::string& name) {
   if (rulebases_.count(key) > 0) {
     return Status::AlreadyExists("rulebase " + name);
   }
+  store_->MarkUnloggedWrite();
   auto table = store_->database().CreateTable("MDSYS", "RDFR_" + key,
                                               RuleTableSchema());
   if (!table.ok()) return table.status();
@@ -56,6 +57,7 @@ Status InferenceEngine::InsertRule(const std::string& rulebase_name,
   }
   RDFDB_RETURN_NOT_OK(it->second.AddRule(rule));
 
+  store_->MarkUnloggedWrite();
   storage::Table* table =
       store_->database().GetTable("MDSYS", "RDFR_" + key);
   auto insert = table->Insert({
@@ -90,6 +92,7 @@ Status InferenceEngine::DropRulebase(const std::string& name) {
   if (rulebases_.erase(key) == 0) {
     return Status::NotFound("rulebase " + name);
   }
+  store_->MarkUnloggedWrite();
   return store_->database().DropTable("MDSYS", "RDFR_" + key);
 }
 
@@ -134,6 +137,7 @@ Status InferenceEngine::DropRulesIndex(const std::string& index_name) {
   if (indexes_.erase(key) == 0) {
     return Status::NotFound("rules index " + index_name);
   }
+  store_->MarkUnloggedWrite();
   (void)store_->database().DropTable("MDSYS", "RDFI_" + key);
   return Status::OK();
 }

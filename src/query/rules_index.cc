@@ -291,6 +291,7 @@ Result<std::unique_ptr<RulesIndex>> RulesIndex::Build(
 
   // Persist the pre-computed triples, as CREATE_RULES_INDEX does.
   std::string table_name = "RDFI_" + index_name;
+  store->MarkUnloggedWrite();
   storage::Database& db = store->database();
   if (db.GetTable("MDSYS", table_name) != nullptr) {
     RDFDB_RETURN_NOT_OK(db.DropTable("MDSYS", table_name));

@@ -47,6 +47,7 @@ ApplicationTable::ApplicationTable(RdfStore* store, storage::Table* table,
 Result<ApplicationTable> ApplicationTable::Create(
     RdfStore* store, const std::string& schema,
     const std::string& table_name) {
+  store->MarkUnloggedWrite();
   auto table =
       store->database().CreateTable(schema, table_name, AppSchema());
   if (!table.ok()) return table.status();
@@ -71,6 +72,7 @@ Status ApplicationTable::Insert(int64_t id, const SdoRdfTripleS& triple) {
   row[kSId] = Value::Int64(triple.rdf_s_id());
   row[kPId] = Value::Int64(triple.rdf_p_id());
   row[kOId] = Value::Int64(triple.rdf_o_id());
+  store_->MarkUnloggedWrite();
   auto insert = table_->Insert(std::move(row));
   if (!insert.ok()) return insert.status();
   return Status::OK();

@@ -116,6 +116,7 @@ Status ProcessChunk(RdfStore* store, ModelId model_id,
     if (pt.has_canon) terms.push_back(&pt.canon);
   }
   std::vector<ValueId> ids;
+  store->MarkUnloggedWrite();  // no redo record covers a batch insert
   {
     obs::ScopedLatency span(metrics->bulkload_intern_ns, &stats->intern_ns);
     RDFDB_ASSIGN_OR_RETURN(

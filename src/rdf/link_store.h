@@ -425,6 +425,21 @@ class LinkStore : public ndm::Network {
     return it == id_cache_.end() ? nullptr : it->second.get();
   }
 
+  /// The quad carrying `link_id` in whichever model of `caches` (a
+  /// model id → cache map) holds it, or null. A LINK_ID alone does not
+  /// name its model; models are few and each probe is O(log n).
+  template <typename CacheMap>
+  static const IdQuad* FindLinkIn(const CacheMap& caches, LinkId link_id) {
+    for (const auto& [model_id, cache] : caches) {
+      int64_t idx = cache->IndexOfLink(link_id);
+      if (idx >= 0) return &cache->quads[static_cast<uint32_t>(idx)];
+    }
+    return nullptr;
+  }
+  const IdQuad* FindLink(LinkId link_id) const {
+    return FindLinkIn(id_cache_, link_id);
+  }
+
   /// Approximate heap bytes across every model's current quad cache.
   size_t CacheBytes() const {
     size_t n = 0;

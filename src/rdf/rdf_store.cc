@@ -6,6 +6,7 @@
 #include "obs/active_ops.h"
 #include "obs/resource_tracker.h"
 #include "rdf/canonical.h"
+#include "rdf/redo_log.h"
 #include "rdf/reification.h"
 #include "rdf/vocab.h"
 #include "storage/snapshot.h"
@@ -50,14 +51,33 @@ void RdfStore::set_event_log(obs::EventLog* log) {
   }
 }
 
+namespace {
+
+// Apply-then-log: append `record`'s redo record only once the call has
+// applied (the log is the truth after a crash, so a failed call is
+// never logged), and only when a log is attached.
+template <typename R, typename Record>
+R ThenLog(R applied, RedoLog* log, Record record) {
+  if (applied.ok() && log != nullptr) {
+    Status logged = record(*log);
+    if (!logged.ok()) return logged;
+  }
+  return applied;
+}
+
+}  // namespace
+
 Result<ModelInfo> RdfStore::CreateRdfModel(const std::string& model_name,
                                            const std::string& app_table,
                                            const std::string& app_column,
                                            const std::string& owner) {
   // MODEL_ID column position in rdf_link$ is 9 (see link_store.cc).
-  Result<ModelInfo> info =
+  Result<ModelInfo> info = ThenLog(
       models_->CreateModel(model_name, app_table, app_column, owner,
-                           &links_->table(), /*model_column=*/9);
+                           &links_->table(), /*model_column=*/9),
+      redo_log_, [&](RedoLog& log) {
+        return log.LogCreateModel(model_name, app_table, app_column, owner);
+      });
   if (event_log_ != nullptr) {
     if (info.ok()) {
       event_log_->Append(
@@ -75,7 +95,9 @@ Result<ModelInfo> RdfStore::CreateRdfModel(const std::string& model_name,
 Status RdfStore::DropRdfModel(const std::string& model_name) {
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
   RDFDB_RETURN_NOT_OK(links_->DeleteModel(model_id));
-  Status status = models_->DropModel(model_name);
+  Status status =
+      ThenLog(models_->DropModel(model_name), redo_log_,
+              [&](RedoLog& log) { return log.LogDropModel(model_name); });
   if (event_log_ != nullptr) {
     if (status.ok()) {
       event_log_->Append("model", "drop",
@@ -174,7 +196,17 @@ Result<SdoRdfTripleS> RdfStore::InsertParsedTriple(ModelId model_id,
   if (!property.is_uri()) {
     return Status::InvalidArgument("predicate must be a URI");
   }
-  return InsertTerms(model_id, subject, property, object, context);
+  const bool direct = context == TripleContext::kDirect;
+  if (!direct) MarkUnloggedWrite();
+  return ThenLog(
+      InsertTerms(model_id, subject, property, object, context),
+      direct ? redo_log_ : nullptr, [&](RedoLog& log) -> Status {
+        // N-Triples forms are API term texts, so replay re-parses them.
+        RDFDB_ASSIGN_OR_RETURN(ModelInfo model,
+                               models_->GetModelById(model_id));
+        return log.LogInsert(model.model_name, subject.ToNTriples(),
+                             property.ToNTriples(), object.ToNTriples());
+      });
 }
 
 Result<SdoRdfTripleS> RdfStore::InsertTriple(const std::string& model_name,
@@ -187,11 +219,48 @@ Result<SdoRdfTripleS> RdfStore::InsertTriple(const std::string& model_name,
   RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
   RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
   RDFDB_ASSIGN_OR_RETURN(Term o, ParseApiTerm(object));
-  return InsertTerms(model_id, s, p, o, TripleContext::kDirect);
+  return ThenLog(InsertTerms(model_id, s, p, o, TripleContext::kDirect),
+                 redo_log_, [&](RedoLog& log) {
+                   return log.LogInsert(model_name, subject, property, object);
+                 });
+}
+
+Result<SdoRdfTriple> RdfStore::TripleTextFor(LinkId rdf_t_id) const {
+  RDFDB_ASSIGN_OR_RETURN(LinkRow row, links_->Get(rdf_t_id));
+  SdoRdfTriple out;
+  for (auto [value_id, slot] :
+       {std::make_pair(row.start_node_id, &out.subject),
+        std::make_pair(row.p_value_id, &out.property),
+        std::make_pair(row.end_node_id, &out.object)}) {
+    RDFDB_ASSIGN_OR_RETURN(Term term, values_->GetTerm(value_id));
+    if (term.is_blank()) {
+      // The original label, so replay re-resolves the same model-scoped
+      // node.
+      auto original = values_->LookupBlankLabel(value_id);
+      if (!original.has_value()) {
+        return Status::Corruption("blank node without rdf_blank_node$ row");
+      }
+      *slot = "_:" + original->second;
+    } else {
+      *slot = term.ToNTriples();
+    }
+  }
+  return out;
 }
 
 Result<SdoRdfTripleS> RdfStore::ReifyTriple(const std::string& model_name,
                                             LinkId rdf_t_id) {
+  return ThenLog(ReifyLink(model_name, rdf_t_id), redo_log_,
+                 [&](RedoLog& log) -> Status {
+                   RDFDB_ASSIGN_OR_RETURN(SdoRdfTriple base,
+                                          TripleTextFor(rdf_t_id));
+                   return log.LogReify(model_name, base.subject,
+                                       base.property, base.object);
+                 });
+}
+
+Result<SdoRdfTripleS> RdfStore::ReifyLink(const std::string& model_name,
+                                          LinkId rdf_t_id) {
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
   // The reified triple must exist, in the reifying model: recovery
   // re-finds a logged reification's base by its text in that model.
@@ -213,7 +282,14 @@ Result<SdoRdfTripleS> RdfStore::AssertAboutTriple(
   RDFDB_ASSIGN_OR_RETURN(ModelId model_id, GetModelId(model_name));
   RDFDB_ASSIGN_OR_RETURN(Term s, ParseApiSubject(subject));
   RDFDB_ASSIGN_OR_RETURN(Term p, ParseApiPredicate(property));
-  return AssertAboutTerms(model_name, model_id, s, p, rdf_t_id);
+  return ThenLog(AssertAboutTerms(model_name, model_id, s, p, rdf_t_id),
+                 redo_log_, [&](RedoLog& log) -> Status {
+                   RDFDB_ASSIGN_OR_RETURN(SdoRdfTriple base,
+                                          TripleTextFor(rdf_t_id));
+                   return log.LogAssert(model_name, subject, property,
+                                        base.subject, base.property,
+                                        base.object, /*implied=*/false);
+                 });
 }
 
 Result<SdoRdfTripleS> RdfStore::AssertAboutTerms(const std::string& model_name,
@@ -225,7 +301,7 @@ Result<SdoRdfTripleS> RdfStore::AssertAboutTerms(const std::string& model_name,
   if (!reified) {
     // "... which calls the reification constructor (if the triple was not
     // previously reified)".
-    RDFDB_RETURN_NOT_OK(ReifyTriple(model_name, rdf_t_id).status());
+    RDFDB_RETURN_NOT_OK(ReifyLink(model_name, rdf_t_id).status());
   }
   Term o = Term::Uri(DBUriForLink(rdf_t_id));
   return InsertTerms(model_id, subject, property, o, TripleContext::kDirect);
@@ -250,7 +326,12 @@ Result<SdoRdfTripleS> RdfStore::AssertImplied(const std::string& model_name,
   RDFDB_ASSIGN_OR_RETURN(
       SdoRdfTripleS base,
       InsertTerms(model_id, s, p, o, TripleContext::kImplied));
-  return AssertAboutTerms(model_name, model_id, rs, rp, base.rdf_t_id());
+  return ThenLog(
+      AssertAboutTerms(model_name, model_id, rs, rp, base.rdf_t_id()),
+      redo_log_, [&](RedoLog& log) {
+        return log.LogAssert(model_name, reif_sub, reif_prop, subject,
+                             property, object, /*implied=*/true);
+      });
 }
 
 Status RdfStore::CheckConsistency() const {
@@ -311,7 +392,10 @@ Status RdfStore::DeleteTriple(const std::string& model_name,
   if (!s_id || !p_id || !o_id) {
     return Status::NotFound("triple not found in model " + model_name);
   }
-  return links_->Delete(model_id, *s_id, *p_id, *o_id);
+  return ThenLog(links_->Delete(model_id, *s_id, *p_id, *o_id), redo_log_,
+                 [&](RedoLog& log) {
+                   return log.LogDelete(model_name, subject, property, object);
+                 });
 }
 
 RdfStore::MemoryBreakdown RdfStore::MemoryUsage() const {

@@ -6,7 +6,8 @@
 // once, and reasoning can span models (see query/match.h).
 //
 // This class owns the writes (model management, the constructors,
-// deletion, persistence) and the live state's StoreView hooks. The
+// deletion, persistence, and their redo-log records once a log is
+// attached) and the live state's StoreView hooks. The
 // point reads (IS_TRIPLE, IS_REIFIED, GET_TRIPLE_ID, model statistics,
 // triple resolution) are StoreView members, shared with the pinned
 // versions SnapshotRdfStore publishes.
@@ -42,6 +43,8 @@ class Env;
 
 namespace rdfdb::rdf {
 
+class RedoLog;
+
 /// Central RDF store. Not thread-safe (single-writer embedded model).
 /// Implements StoreView's hooks over the live tables and quad caches, so
 /// every read runs directly against the live state; SnapshotRdfStore
@@ -68,7 +71,7 @@ class RdfStore : public StoreView {
   /// SDO_RDF.GET_MODEL_ID.
   Result<ModelId> GetModelId(const std::string& model_name) const override;
 
-  std::vector<std::string> ModelNames() const override;
+  std::vector<std::string> ModelNames() const;
 
   /// Grant SELECT on the model's rdfm_<name> view to `user` ("accessible
   /// only to the owner of the model and users with SELECT privileges").
@@ -145,16 +148,38 @@ class RdfStore : public StoreView {
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     return links_->CacheFor(model_id);
   }
+  const LinkStore::IdQuad* FindLink(LinkId rdf_t_id) const override {
+    return links_->FindLink(rdf_t_id);
+  }
 
   /// Intern an already-parsed term for `model_id` (blank nodes are
   /// model-scoped). Exposed for the loaders and the query layer.
   Result<ValueId> InternTerm(ModelId model_id, const Term& term);
 
-  /// Insert an already-parsed triple (used by bulk loaders). Returns the
-  /// storage object; `context` defaults to Direct.
+  /// Insert an already-parsed triple (the loaders and the server's
+  /// /insert). Returns the storage object; `context` defaults to Direct.
+  /// The log has no record for an Implied insert on its own, so such a
+  /// call counts as an unlogged write (see MarkUnloggedWrite).
   Result<SdoRdfTripleS> InsertParsedTriple(
       ModelId model_id, const Term& subject, const Term& property,
       const Term& object, TripleContext context = TripleContext::kDirect);
+
+  // ---- Redo logging ------------------------------------------------------
+
+  /// Attach the redo log (non-owning; null detaches). Each successful
+  /// model DDL, constructor and DeleteTriple call then appends its
+  /// record before returning (apply-then-log: the log is the source of
+  /// truth after a crash, so a failed call is never logged).
+  /// SnapshotRdfStore::Open attaches it after replay.
+  void set_redo_log(RedoLog* log) { redo_log_ = log; }
+
+  /// Called before a write no redo record covers (a bulk load, an
+  /// app-table row, an MDSYS table), including any write through the
+  /// substrate accessors below. SnapshotRdfStore covers the mark with a
+  /// checkpoint before it acknowledges the batch; the checkpoint clears it.
+  void MarkUnloggedWrite() { unlogged_writes_ = true; }
+  bool has_unlogged_writes() const { return unlogged_writes_; }
+  void ClearUnloggedWrites() { unlogged_writes_ = false; }
 
   // ---- Substrate access -------------------------------------------------
 
@@ -250,6 +275,16 @@ class RdfStore : public StoreView {
                                     const Term& property, const Term& object,
                                     TripleContext context);
 
+  /// ReifyTriple without its log record (the assertion constructors
+  /// reify as part of their own logged call).
+  Result<SdoRdfTripleS> ReifyLink(const std::string& model_name,
+                                  LinkId rdf_t_id);
+
+  /// The API texts of the triple behind `rdf_t_id`, which the
+  /// reification records log in place of the LINK_ID (replay assigns
+  /// new ones). Blank nodes keep their original labels.
+  Result<SdoRdfTriple> TripleTextFor(LinkId rdf_t_id) const;
+
   /// The assertion half of AssertAboutTriple/AssertImplied, on parsed
   /// terms: reify `rdf_t_id` if needed, then store the assertion.
   Result<SdoRdfTripleS> AssertAboutTerms(const std::string& model_name,
@@ -272,6 +307,8 @@ class RdfStore : public StoreView {
   obs::EventLog* event_log_ = nullptr;
   obs::SlowQueryLog* slow_query_log_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
+  RedoLog* redo_log_ = nullptr;  // non-owning; null = not logged
+  bool unlogged_writes_ = false;
 };
 
 }  // namespace rdfdb::rdf

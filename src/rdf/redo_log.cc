@@ -1,6 +1,5 @@
 #include "rdf/redo_log.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -590,213 +589,6 @@ Result<CheckpointManifest> ReadManifest(const std::string& path,
     return bad("snapshot entry must be a bare file name");
   }
   return m;
-}
-
-// --- LoggedRdfStore -----------------------------------------------------
-
-std::string LoggedRdfStore::GenerationFileName(
-    const std::string& snapshot_path, uint64_t gen) {
-  return snapshot_path + ".g" + std::to_string(gen);
-}
-
-std::string LoggedRdfStore::ManifestPath(const std::string& snapshot_path) {
-  return snapshot_path + ".manifest";
-}
-
-Result<std::unique_ptr<LoggedRdfStore>> LoggedRdfStore::Open(
-    const std::string& snapshot_path, const std::string& log_path,
-    const LoggedStoreOptions& options) {
-  storage::Env* env = OrDefault(options.env);
-  const std::string manifest_path = ManifestPath(snapshot_path);
-
-  uint64_t generation = 0;
-  uint64_t min_seq = 1;
-  std::string snapshot_to_load;
-  if (env->FileExists(manifest_path)) {
-    RDFDB_ASSIGN_OR_RETURN(CheckpointManifest manifest,
-                           ReadManifest(manifest_path, env));
-    generation = manifest.generation;
-    min_seq = manifest.log_start_seq;
-    if (generation > 0) {
-      snapshot_to_load = storage::DirName(snapshot_path) + "/" +
-                         manifest.snapshot_file;
-    }
-  } else if (env->FileExists(snapshot_path)) {
-    // Legacy single-file layout (no manifest yet): the bare snapshot
-    // plus the full log.
-    snapshot_to_load = snapshot_path;
-  }
-
-  std::unique_ptr<RdfStore> store;
-  if (snapshot_to_load.empty()) {
-    store = std::make_unique<RdfStore>();
-  } else {
-    RDFDB_ASSIGN_OR_RETURN(store, RdfStore::Open(snapshot_to_load, env));
-  }
-
-  // Replay stats land in the store's metrics registry (ReplayRedoLog
-  // emits them), so recovery is observable after the fact.
-  ReplayOptions replay_opts;
-  replay_opts.min_seq = min_seq;
-  replay_opts.env = env;
-  RDFDB_ASSIGN_OR_RETURN(ReplayStats replayed,
-                         ReplayRedoLog(log_path, store.get(), replay_opts));
-
-  RedoLogOptions log_opts;
-  log_opts.sync_mode = options.sync_mode;
-  log_opts.env = env;
-  log_opts.next_seq = std::max(replayed.last_seq + 1, min_seq);
-  RDFDB_ASSIGN_OR_RETURN(std::unique_ptr<RedoLog> log,
-                         RedoLog::Open(log_path, log_opts));
-
-  store->metrics()->recovery_opens->Inc();
-  if (obs::EventLog* elog = store->event_log()) {
-    elog->Append(
-        "recovery", "open",
-        {obs::EventField::Str("snapshot", snapshot_to_load),
-         obs::EventField::Num("generation",
-                              static_cast<int64_t>(generation)),
-         obs::EventField::Num("replayed",
-                              static_cast<int64_t>(replayed.records)),
-         obs::EventField::Num("torn_tail", replayed.torn_tail ? 1 : 0)});
-  }
-
-  auto logged = std::unique_ptr<LoggedRdfStore>(new LoggedRdfStore(
-      std::move(store), std::move(log), snapshot_path, env, generation));
-  logged->recovery_stats_ = replayed;
-  return logged;
-}
-
-Result<SdoRdfTriple> LoggedRdfStore::TripleTextFor(LinkId rdf_t_id) const {
-  RDFDB_ASSIGN_OR_RETURN(LinkRow row, store_->links().Get(rdf_t_id));
-  SdoRdfTriple out;
-  for (auto [value_id, slot] :
-       {std::make_pair(row.start_node_id, &out.subject),
-        std::make_pair(row.p_value_id, &out.property),
-        std::make_pair(row.end_node_id, &out.object)}) {
-    RDFDB_ASSIGN_OR_RETURN(Term term, store_->TermForValueId(value_id));
-    if (term.is_blank()) {
-      // Serialize the *original* label so replay re-resolves the same
-      // model-scoped node.
-      auto original = store_->values().LookupBlankLabel(value_id);
-      if (!original.has_value()) {
-        return Status::Corruption("blank node without rdf_blank_node$ row");
-      }
-      *slot = "_:" + original->second;
-    } else {
-      *slot = term.ToNTriples();
-    }
-  }
-  return out;
-}
-
-Result<ModelInfo> LoggedRdfStore::CreateRdfModel(
-    const std::string& model_name, const std::string& app_table,
-    const std::string& app_column, const std::string& owner) {
-  RDFDB_ASSIGN_OR_RETURN(
-      ModelInfo info,
-      store_->CreateRdfModel(model_name, app_table, app_column, owner));
-  RDFDB_RETURN_NOT_OK(
-      log_->LogCreateModel(model_name, app_table, app_column, owner));
-  return info;
-}
-
-Status LoggedRdfStore::DropRdfModel(const std::string& model_name) {
-  RDFDB_RETURN_NOT_OK(store_->DropRdfModel(model_name));
-  return log_->LogDropModel(model_name);
-}
-
-Result<SdoRdfTripleS> LoggedRdfStore::InsertTriple(
-    const std::string& model_name, const std::string& subject,
-    const std::string& property, const std::string& object) {
-  RDFDB_ASSIGN_OR_RETURN(
-      SdoRdfTripleS triple,
-      store_->InsertTriple(model_name, subject, property, object));
-  RDFDB_RETURN_NOT_OK(log_->LogInsert(model_name, subject, property,
-                                      object));
-  return triple;
-}
-
-Status LoggedRdfStore::DeleteTriple(const std::string& model_name,
-                                    const std::string& subject,
-                                    const std::string& property,
-                                    const std::string& object) {
-  RDFDB_RETURN_NOT_OK(
-      store_->DeleteTriple(model_name, subject, property, object));
-  return log_->LogDelete(model_name, subject, property, object);
-}
-
-Result<SdoRdfTripleS> LoggedRdfStore::ReifyTriple(
-    const std::string& model_name, LinkId rdf_t_id) {
-  RDFDB_ASSIGN_OR_RETURN(SdoRdfTriple base, TripleTextFor(rdf_t_id));
-  RDFDB_ASSIGN_OR_RETURN(SdoRdfTripleS reif,
-                         store_->ReifyTriple(model_name, rdf_t_id));
-  RDFDB_RETURN_NOT_OK(log_->LogReify(model_name, base.subject,
-                                     base.property, base.object));
-  return reif;
-}
-
-Result<SdoRdfTripleS> LoggedRdfStore::AssertAboutTriple(
-    const std::string& model_name, const std::string& subject,
-    const std::string& property, LinkId rdf_t_id) {
-  RDFDB_ASSIGN_OR_RETURN(SdoRdfTriple base, TripleTextFor(rdf_t_id));
-  RDFDB_ASSIGN_OR_RETURN(
-      SdoRdfTripleS assertion,
-      store_->AssertAboutTriple(model_name, subject, property, rdf_t_id));
-  RDFDB_RETURN_NOT_OK(log_->LogAssert(model_name, subject, property,
-                                      base.subject, base.property,
-                                      base.object, /*implied=*/false));
-  return assertion;
-}
-
-Result<SdoRdfTripleS> LoggedRdfStore::AssertImplied(
-    const std::string& model_name, const std::string& reif_sub,
-    const std::string& reif_prop, const std::string& subject,
-    const std::string& property, const std::string& object) {
-  RDFDB_ASSIGN_OR_RETURN(
-      SdoRdfTripleS assertion,
-      store_->AssertImplied(model_name, reif_sub, reif_prop, subject,
-                            property, object));
-  RDFDB_RETURN_NOT_OK(log_->LogAssert(model_name, reif_sub, reif_prop,
-                                      subject, property, object,
-                                      /*implied=*/true));
-  return assertion;
-}
-
-Status LoggedRdfStore::Checkpoint() {
-  obs::ActiveOpGuard active_op(obs::OpKind::kCheckpoint, snapshot_path_);
-  // 1. Snapshot the current state into the next generation (atomic:
-  //    SaveSnapshotToFile writes tmp + fsync + rename + dir fsync).
-  const uint64_t next_gen = generation_ + 1;
-  const std::string snap_file =
-      GenerationFileName(snapshot_path_, next_gen);
-  // Capture before Save: every record below this seq is in the store
-  // state being snapshotted (single-writer store).
-  const uint64_t log_start_seq = log_->next_seq();
-  RDFDB_RETURN_NOT_OK(store_->Save(snap_file, env_));
-
-  // 2. Swap the manifest. From this instant recovery uses the new
-  //    generation; records below log_start_seq become stale.
-  CheckpointManifest manifest;
-  manifest.generation = next_gen;
-  manifest.snapshot_file = storage::BaseName(snap_file);
-  manifest.log_start_seq = log_start_seq;
-  RDFDB_RETURN_NOT_OK(
-      WriteManifest(ManifestPath(snapshot_path_), manifest, env_));
-  const uint64_t prev_gen = generation_;
-  generation_ = next_gen;
-
-  // 3. Reclaim: truncate the log (stale records would be skipped by
-  //    seq anyway) and drop the superseded snapshot. A crash in here
-  //    costs disk space, not correctness.
-  RDFDB_RETURN_NOT_OK(log_->Truncate());
-  if (prev_gen > 0) {
-    (void)env_->RemoveFile(GenerationFileName(snapshot_path_, prev_gen));
-  } else if (env_->FileExists(snapshot_path_)) {
-    // Legacy bare snapshot superseded by the first manifest.
-    (void)env_->RemoveFile(snapshot_path_);
-  }
-  return Status::OK();
 }
 
 }  // namespace rdfdb::rdf

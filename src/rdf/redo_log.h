@@ -3,8 +3,11 @@
 // The storage engine is in-memory with snapshot checkpoints
 // (storage/snapshot.h); this module adds the write-ahead piece: an
 // append-only, checksummed log of the RDF-level mutations, a replayer
-// that reapplies them to a store, and the generation-numbered
-// checkpoint protocol that ties the two together. Recovery is
+// that reapplies them to a store, and the manifest of the
+// generation-numbered checkpoint protocol that ties the two together.
+// RdfStore appends a record for each successful constructor, delete and
+// model DDL call once a log is attached; SnapshotRdfStore::Open and
+// Checkpoint run the protocol. Recovery is
 //
 //     read manifest -> load snapshot generation G -> replay log
 //                      records with seq >= manifest.log_start_seq
@@ -196,105 +199,12 @@ Result<CheckpointManifest> ReadManifest(const std::string& path,
 Status WriteManifest(const std::string& path, const CheckpointManifest& m,
                      storage::Env* env = nullptr);
 
+/// Options of a logged SnapshotRdfStore (SnapshotRdfStore::Open).
 struct LoggedStoreOptions {
   SyncMode sync_mode = SyncMode::kEveryRecord;
   /// Filesystem everything (snapshots, log, manifest) goes through;
   /// nullptr = storage::Env::Default().
   storage::Env* env = nullptr;
-};
-
-/// RdfStore façade that appends each successful mutation to the redo
-/// log (apply-then-log: with an in-memory store the log is the source
-/// of truth after a crash, so failed operations must never be logged),
-/// plus the crash-safe checkpoint protocol:
-///
-///   Checkpoint():
-///     1. write snapshot generation G+1 to <base>.g<G+1> (atomic:
-///        tmp + fsync + rename + dir fsync)
-///     2. atomically swap <base>.manifest to point at G+1 with
-///        log_start_seq = next unused seq
-///     3. truncate the log, delete generation G (both safe to lose:
-///        stale records are skipped by seq on replay, stale snapshots
-///        are simply never referenced)
-///
-/// A crash at any point recovers from the previous generation + the
-/// full log, or the new generation + the (possibly still un-truncated)
-/// log filtered by seq.
-class LoggedRdfStore {
- public:
-  /// Open the store rooted at `snapshot_path`: read
-  /// `<snapshot_path>.manifest` if present (else fall back to a bare
-  /// snapshot file at `snapshot_path`, else start empty) and replay
-  /// `log_path` on top; subsequent mutations append to the log.
-  static Result<std::unique_ptr<LoggedRdfStore>> Open(
-      const std::string& snapshot_path, const std::string& log_path,
-      const LoggedStoreOptions& options = {});
-
-  RdfStore& store() { return *store_; }
-  const RdfStore& store() const { return *store_; }
-
-  Result<ModelInfo> CreateRdfModel(const std::string& model_name,
-                                   const std::string& app_table,
-                                   const std::string& app_column,
-                                   const std::string& owner = "");
-  Status DropRdfModel(const std::string& model_name);
-  Result<SdoRdfTripleS> InsertTriple(const std::string& model_name,
-                                     const std::string& subject,
-                                     const std::string& property,
-                                     const std::string& object);
-  Status DeleteTriple(const std::string& model_name,
-                      const std::string& subject,
-                      const std::string& property,
-                      const std::string& object);
-  Result<SdoRdfTripleS> ReifyTriple(const std::string& model_name,
-                                    LinkId rdf_t_id);
-  Result<SdoRdfTripleS> AssertAboutTriple(const std::string& model_name,
-                                          const std::string& subject,
-                                          const std::string& property,
-                                          LinkId rdf_t_id);
-  Result<SdoRdfTripleS> AssertImplied(const std::string& model_name,
-                                      const std::string& reif_sub,
-                                      const std::string& reif_prop,
-                                      const std::string& subject,
-                                      const std::string& property,
-                                      const std::string& object);
-
-  /// Snapshot the store into the next generation, swap the manifest,
-  /// truncate the log (see class comment for the crash analysis).
-  Status Checkpoint();
-
-  /// Current snapshot generation (0 = none yet).
-  uint64_t generation() const { return generation_; }
-  /// Stats from the replay that Open performed.
-  const ReplayStats& recovery_stats() const { return recovery_stats_; }
-
-  /// Snapshot file name for generation `gen` of the store rooted at
-  /// `snapshot_path` ("<snapshot_path>.g<gen>").
-  static std::string GenerationFileName(const std::string& snapshot_path,
-                                        uint64_t gen);
-  /// Manifest path for the store rooted at `snapshot_path`.
-  static std::string ManifestPath(const std::string& snapshot_path);
-
- private:
-  LoggedRdfStore(std::unique_ptr<RdfStore> store,
-                 std::unique_ptr<RedoLog> log, std::string snapshot_path,
-                 storage::Env* env, uint64_t generation)
-      : store_(std::move(store)),
-        log_(std::move(log)),
-        snapshot_path_(std::move(snapshot_path)),
-        env_(env),
-        generation_(generation) {}
-
-  /// Resolve a LINK_ID back to its triple's API display strings (for
-  /// logical logging of reification ops).
-  Result<SdoRdfTriple> TripleTextFor(LinkId rdf_t_id) const;
-
-  std::unique_ptr<RdfStore> store_;
-  std::unique_ptr<RedoLog> log_;
-  std::string snapshot_path_;
-  storage::Env* env_;
-  uint64_t generation_;
-  ReplayStats recovery_stats_;
 };
 
 }  // namespace rdfdb::rdf

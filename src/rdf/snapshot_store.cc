@@ -1,9 +1,13 @@
 #include "rdf/snapshot_store.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "obs/active_ops.h"
 #include "obs/resource_tracker.h"
 #include "obs/store_metrics.h"
+#include "storage/env.h"
 
 namespace rdfdb::rdf {
 
@@ -44,86 +48,133 @@ size_t StoreVersion::TotalTripleCount() const {
 
 // ---- SnapshotRdfStore -----------------------------------------------------
 
-SnapshotRdfStore::SnapshotRdfStore() {
+SnapshotRdfStore::SnapshotRdfStore(std::unique_ptr<RdfStore> store)
+    : store_(std::move(store)) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // An empty store cannot fail to snapshot.
+  // A freshly built or opened store cannot fail to snapshot.
   Status status = PublishLocked();
   (void)status;
 }
 
-Result<ModelInfo> SnapshotRdfStore::CreateRdfModel(
-    const std::string& model_name, const std::string& app_table,
-    const std::string& app_column, const std::string& owner) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Result<ModelInfo> result =
-      store_.CreateRdfModel(model_name, app_table, app_column, owner);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return result;
+Result<std::unique_ptr<SnapshotRdfStore>> SnapshotRdfStore::Open(
+    const std::string& snapshot_path, const std::string& log_path,
+    const LoggedStoreOptions& options) {
+  storage::Env* env =
+      options.env != nullptr ? options.env : storage::Env::Default();
+  const std::string manifest_path = ManifestPath(snapshot_path);
+
+  uint64_t generation = 0;
+  uint64_t min_seq = 1;
+  std::string snapshot_to_load;
+  if (env->FileExists(manifest_path)) {
+    RDFDB_ASSIGN_OR_RETURN(CheckpointManifest manifest,
+                           ReadManifest(manifest_path, env));
+    generation = manifest.generation;
+    min_seq = manifest.log_start_seq;
+    if (generation > 0) {
+      snapshot_to_load = storage::DirName(snapshot_path) + "/" +
+                         manifest.snapshot_file;
+    }
+  } else if (env->FileExists(snapshot_path)) {
+    // Single-file layout (no manifest yet: a legacy store, or a store
+    // saved whole with RdfStore::Save): the bare snapshot plus the full
+    // log.
+    snapshot_to_load = snapshot_path;
+  }
+
+  std::unique_ptr<RdfStore> store;
+  if (snapshot_to_load.empty()) {
+    store = std::make_unique<RdfStore>();
+  } else {
+    RDFDB_ASSIGN_OR_RETURN(store, RdfStore::Open(snapshot_to_load, env));
+  }
+
+  // Replay stats land in the store's metrics registry (ReplayRedoLog
+  // emits them), so recovery is observable after the fact.
+  ReplayOptions replay_opts;
+  replay_opts.min_seq = min_seq;
+  replay_opts.env = env;
+  RDFDB_ASSIGN_OR_RETURN(ReplayStats replayed,
+                         ReplayRedoLog(log_path, store.get(), replay_opts));
+
+  RedoLogOptions log_opts;
+  log_opts.sync_mode = options.sync_mode;
+  log_opts.env = env;
+  log_opts.next_seq = std::max(replayed.last_seq + 1, min_seq);
+  RDFDB_ASSIGN_OR_RETURN(std::unique_ptr<RedoLog> log,
+                         RedoLog::Open(log_path, log_opts));
+
+  store->metrics()->recovery_opens->Inc();
+  // The recovered state is exactly what the files hold: nothing to cover.
+  store->ClearUnloggedWrites();
+  store->set_redo_log(log.get());
+  std::unique_ptr<SnapshotRdfStore> out(
+      new SnapshotRdfStore(std::move(store)));
+  out->log_ = std::move(log);
+  out->snapshot_path_ = snapshot_path;
+  out->env_ = env;
+  out->generation_ = generation;
+  out->recovery_stats_ = replayed;
+  return out;
 }
 
-Status SnapshotRdfStore::DropRdfModel(const std::string& model_name) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Status status = store_.DropRdfModel(model_name);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return status;
+Status SnapshotRdfStore::CoverLocked() {
+  if (log_ == nullptr || !store_->has_unlogged_writes()) return Status::OK();
+  return CheckpointLocked();
 }
 
-Result<SdoRdfTripleS> SnapshotRdfStore::InsertTriple(
-    const std::string& model_name, const std::string& subject,
-    const std::string& property, const std::string& object) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Result<SdoRdfTripleS> result =
-      store_.InsertTriple(model_name, subject, property, object);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return result;
+Status SnapshotRdfStore::CommitLocked() {
+  Status covered = CoverLocked();
+  Status published = PublishLocked();
+  return covered.ok() ? published : covered;
 }
 
-Status SnapshotRdfStore::DeleteTriple(const std::string& model_name,
-                                      const std::string& subject,
-                                      const std::string& property,
-                                      const std::string& object) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Status status = store_.DeleteTriple(model_name, subject, property, object);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return status;
-}
+Status SnapshotRdfStore::CheckpointLocked() {
+  if (log_ == nullptr) {
+    return Status::NotSupported("checkpoint of a store without a redo log");
+  }
+  obs::ActiveOpGuard active_op(obs::OpKind::kCheckpoint, snapshot_path_);
+  // 1. Snapshot the current state into the next generation (atomic:
+  //    Save writes tmp + fsync + rename + dir fsync). Every record
+  //    below log_start_seq is in the state being saved: the writer
+  //    lock is held.
+  const uint64_t next_gen = generation_ + 1;
+  const std::string snap_file = GenerationFileName(snapshot_path_, next_gen);
+  const uint64_t log_start_seq = log_->next_seq();
+  RDFDB_RETURN_NOT_OK(store_->Save(snap_file, env_));
 
-Result<SdoRdfTripleS> SnapshotRdfStore::ReifyTriple(
-    const std::string& model_name, LinkId rdf_t_id) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Result<SdoRdfTripleS> result = store_.ReifyTriple(model_name, rdf_t_id);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return result;
-}
+  // 2. Swap the manifest. From this instant recovery uses the new
+  //    generation; records below log_start_seq become stale.
+  CheckpointManifest manifest;
+  manifest.generation = next_gen;
+  manifest.snapshot_file = storage::BaseName(snap_file);
+  manifest.log_start_seq = log_start_seq;
+  RDFDB_RETURN_NOT_OK(
+      WriteManifest(ManifestPath(snapshot_path_), manifest, env_));
+  const uint64_t prev_gen = generation_;
+  generation_ = next_gen;
+  store_->ClearUnloggedWrites();
 
-Result<SdoRdfTripleS> SnapshotRdfStore::AssertAboutTriple(
-    const std::string& model_name, const std::string& subject,
-    const std::string& property, LinkId rdf_t_id) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Result<SdoRdfTripleS> result =
-      store_.AssertAboutTriple(model_name, subject, property, rdf_t_id);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return result;
-}
-
-Result<SdoRdfTripleS> SnapshotRdfStore::AssertImplied(
-    const std::string& model_name, const std::string& reif_sub,
-    const std::string& reif_prop, const std::string& subject,
-    const std::string& property, const std::string& object) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  Result<SdoRdfTripleS> result = store_.AssertImplied(
-      model_name, reif_sub, reif_prop, subject, property, object);
-  RDFDB_RETURN_NOT_OK(PublishLocked());
-  return result;
+  // 3. Reclaim: truncate the log (stale records would be skipped by
+  //    seq anyway) and drop the superseded snapshot. A crash in here
+  //    costs disk space, not correctness.
+  RDFDB_RETURN_NOT_OK(log_->Truncate());
+  if (prev_gen > 0) {
+    (void)env_->RemoveFile(GenerationFileName(snapshot_path_, prev_gen));
+  } else if (env_->FileExists(snapshot_path_)) {
+    // Legacy bare snapshot superseded by the first manifest.
+    (void)env_->RemoveFile(snapshot_path_);
+  }
+  return Status::OK();
 }
 
 void SnapshotRdfStore::SetObservability(obs::EventLog* event_log,
                                         obs::SlowQueryLog* slow_query_log,
                                         obs::Timeline* timeline) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  store_.set_event_log(event_log);
-  store_.set_slow_query_log(slow_query_log);
-  store_.set_timeline(timeline);
+  store_->set_event_log(event_log);
+  store_->set_slow_query_log(slow_query_log);
+  store_->set_timeline(timeline);
   // Re-publish so readers pick up the new attachments.
   Status status = PublishLocked();
   (void)status;
@@ -132,23 +183,23 @@ void SnapshotRdfStore::SetObservability(obs::EventLog* event_log,
 Status SnapshotRdfStore::PublishLocked() {
   Timer timer;
   obs::ResourceScope publish_scope("publish");
+  const RdfStore& live = *store_;
   // Absorb rdf_value$ rows appended since the previous publish. The
   // dictionary is monotonic and its tables are published with release
   // stores, so readers on older versions stay safe.
-  RDFDB_RETURN_NOT_OK(dict_.Ingest(store_.values()));
+  RDFDB_RETURN_NOT_OK(dict_.Ingest(live.values()));
 
   std::shared_ptr<StoreVersion> version(new StoreVersion());
-  version->caches_ = store_.links().ShareCaches();
-  for (const std::string& name : store_.ModelNames()) {
-    Result<ModelId> model_id = store_.GetModelId(name);
+  version->caches_ = live.links().ShareCaches();
+  for (const std::string& name : live.ModelNames()) {
+    Result<ModelId> model_id = live.GetModelId(name);
     if (!model_id.ok()) continue;  // racing drop is impossible; belt-and-braces
     version->models_by_lower_name_.emplace(ToLower(name), *model_id);
-    version->model_names_.push_back(name);
   }
   version->dict_ = &dict_;
-  version->metrics_ = store_.metrics();
-  version->slow_query_log_ = store_.slow_query_log();
-  version->timeline_ = store_.timeline();
+  version->metrics_ = live.metrics();
+  version->slow_query_log_ = live.slow_query_log();
+  version->timeline_ = live.timeline();
   version->seq_ = ++seq_counter_;
 
   // Publish protocol (see rdf/epoch.h): release-store the pointer,
@@ -176,7 +227,7 @@ Status SnapshotRdfStore::PublishLocked() {
   }
   gc_.Sweep();
 
-  obs::StoreMetrics* metrics = store_.metrics();
+  obs::StoreMetrics* metrics = store_->metrics();
   metrics->versions_published->Inc();
   metrics->publish_ns->Observe(timer.ElapsedNanos());
   metrics->retired_versions->Set(
@@ -190,11 +241,11 @@ Status SnapshotRdfStore::PublishLocked() {
 
 void SnapshotRdfStore::CheckRetentionLocked() const {
   const double age = gc_.OldestRetireAgeSeconds();
-  store_.metrics()->retention_age_seconds->Set(static_cast<int64_t>(age));
+  store_->metrics()->retention_age_seconds->Set(static_cast<int64_t>(age));
   if (retention_warn_seconds_ <= 0.0 || age < retention_warn_seconds_) {
     return;
   }
-  obs::EventLog* log = store_.event_log();
+  obs::EventLog* log = store_->event_log();
   if (log == nullptr) return;
   // Re-warn at most once per threshold interval while the stall lasts.
   const auto now = std::chrono::steady_clock::now();
@@ -218,7 +269,7 @@ void SnapshotRdfStore::CheckRetentionLocked() const {
 
 RdfStore::MemoryBreakdown SnapshotRdfStore::MemoryUsage() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  RdfStore::MemoryBreakdown breakdown = store_.MemoryUsage();
+  RdfStore::MemoryBreakdown breakdown = store_->MemoryUsage();
   breakdown.term_dict_bytes = dict_.ApproxBytes();
   breakdown.retired_version_bytes = gc_.RetiredBytes();
   return breakdown;
@@ -227,8 +278,8 @@ RdfStore::MemoryBreakdown SnapshotRdfStore::MemoryUsage() const {
 void SnapshotRdfStore::UpdateMemoryGauges() const {
   const RdfStore::MemoryBreakdown breakdown = MemoryUsage();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  store_.UpdateMemoryGauges(breakdown);
-  obs::StoreMetrics* metrics = store_.metrics();
+  store_->UpdateMemoryGauges(breakdown);
+  obs::StoreMetrics* metrics = store_->metrics();
   metrics->retired_versions->Set(
       static_cast<int64_t>(gc_.RetiredOutstanding()));
   metrics->epoch_lag->Set(static_cast<int64_t>(gc_.OldestPinLag()));

@@ -24,6 +24,11 @@
 // covers, so a Snapshot() taken after a mutation call returns always
 // sees that mutation (read-your-writes), and every snapshot is a
 // point-in-time transaction-consistent view (never a partial batch).
+//
+// Durability: a store from Open() has a redo log. Every write takes the
+// writer lock, mutates the live store (which logs each call that
+// applied), publishes one version and returns; a batch that wrote
+// around the log is covered by a checkpoint before Apply returns.
 
 #ifndef RDFDB_RDF_SNAPSHOT_STORE_H_
 #define RDFDB_RDF_SNAPSHOT_STORE_H_
@@ -43,6 +48,7 @@
 #include "common/status.h"
 #include "rdf/epoch.h"
 #include "rdf/rdf_store.h"
+#include "rdf/redo_log.h"
 #include "rdf/store_view.h"
 #include "rdf/term_dict.h"
 
@@ -63,9 +69,6 @@ class StoreVersion : public StoreView {
   // ---- StoreView --------------------------------------------------------
 
   Result<ModelId> GetModelId(const std::string& model_name) const override;
-  std::vector<std::string> ModelNames() const override {
-    return model_names_;
-  }
   std::optional<ValueId> LookupValue(const Term& term) const override;
   std::optional<ValueId> LookupBlank(ModelId model_id,
                                      const std::string& label) const override;
@@ -73,6 +76,9 @@ class StoreVersion : public StoreView {
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     auto it = caches_.find(model_id);
     return it == caches_.end() ? nullptr : it->second.get();
+  }
+  const LinkStore::IdQuad* FindLink(LinkId rdf_t_id) const override {
+    return LinkStore::FindLinkIn(caches_, rdf_t_id);
   }
   obs::StoreMetrics* metrics() const override { return metrics_; }
   obs::SlowQueryLog* slow_query_log() const override {
@@ -96,7 +102,6 @@ class StoreVersion : public StoreView {
   std::unordered_map<int64_t, std::shared_ptr<const LinkStore::ModelIdCache>>
       caches_;
   std::unordered_map<std::string, ModelId> models_by_lower_name_;
-  std::vector<std::string> model_names_;  ///< sorted, original case
   const TermDict* dict_ = nullptr;        ///< owned by the SnapshotRdfStore
   obs::StoreMetrics* metrics_ = nullptr;
   obs::SlowQueryLog* slow_query_log_ = nullptr;
@@ -105,12 +110,21 @@ class StoreVersion : public StoreView {
 };
 
 /// MVCC-lite store: one internally-serialized writer, lock-free
-/// snapshot readers. Safe to call from any thread.
+/// snapshot readers, and (when opened on files) a redo log with
+/// crash-safe checkpoints. Safe to call from any thread.
 class SnapshotRdfStore {
  public:
-  /// Publishes an initial (empty) version so Snapshot() never observes
-  /// a null pointer.
-  SnapshotRdfStore();
+  /// A log-free in-memory store. Publishes an initial (empty) version
+  /// so Snapshot() never observes a null pointer.
+  SnapshotRdfStore() : SnapshotRdfStore(std::make_unique<RdfStore>()) {}
+
+  /// Open the logged store rooted at `snapshot_path`: read
+  /// `<snapshot_path>.manifest` if present (else fall back to a bare
+  /// snapshot file at `snapshot_path`, else start empty), replay
+  /// `log_path` on top, and append every later write to it.
+  static Result<std::unique_ptr<SnapshotRdfStore>> Open(
+      const std::string& snapshot_path, const std::string& log_path,
+      const LoggedStoreOptions& options = {});
 
   SnapshotRdfStore(const SnapshotRdfStore&) = delete;
   SnapshotRdfStore& operator=(const SnapshotRdfStore&) = delete;
@@ -148,91 +162,108 @@ class SnapshotRdfStore {
     return ReadPin(std::move(pin), version);
   }
 
-  // ---- Mutations (writer lock; each publishes a new version) ------------
-
-  Result<ModelInfo> CreateRdfModel(const std::string& model_name,
-                                   const std::string& app_table,
-                                   const std::string& app_column,
-                                   const std::string& owner = "");
-  Status DropRdfModel(const std::string& model_name);
-  Result<SdoRdfTripleS> InsertTriple(const std::string& model_name,
-                                     const std::string& subject,
-                                     const std::string& property,
-                                     const std::string& object);
-  Status DeleteTriple(const std::string& model_name,
-                      const std::string& subject,
-                      const std::string& property,
-                      const std::string& object);
-  Result<SdoRdfTripleS> ReifyTriple(const std::string& model_name,
-                                    LinkId rdf_t_id);
-  Result<SdoRdfTripleS> AssertAboutTriple(const std::string& model_name,
-                                          const std::string& subject,
-                                          const std::string& property,
-                                          LinkId rdf_t_id);
-  Result<SdoRdfTripleS> AssertImplied(const std::string& model_name,
-                                      const std::string& reif_sub,
-                                      const std::string& reif_prop,
-                                      const std::string& subject,
-                                      const std::string& property,
-                                      const std::string& object);
-
-  /// Run a batch of mutations against the live store under the writer
-  /// lock, then publish ONE version covering all of them — the bulk
-  /// load path (publishing per-chunk instead of per-triple). `fn` takes
-  /// `RdfStore&` and returns void or Status; a publish still happens if
-  /// it fails partway, so readers converge on whatever state it left.
-  template <typename Fn>
-  Status Apply(Fn&& fn) {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    Status status = Status::OK();
-    if constexpr (std::is_void_v<decltype(fn(std::declval<RdfStore&>()))>) {
-      fn(store_);
-    } else {
-      status = fn(store_);
-    }
-    Status published = PublishLocked();
-    return status.ok() ? published : status;
-  }
-
-  // ---- Convenience pinned reads -----------------------------------------
+  // ---- Mutations --------------------------------------------------------
   //
-  // One-shot reads that pin, read, and unpin. Loops should take one
-  // Snapshot() and issue every probe against it instead.
+  // Each is the RdfStore call of the same name and arguments, run as a
+  // one-call write batch through Apply: writer lock, mutate, log,
+  // publish.
 
-  Result<bool> IsTriple(const std::string& model_name,
-                        const std::string& subject,
-                        const std::string& property,
-                        const std::string& object) const {
-    return Snapshot()->IsTriple(model_name, subject, property, object);
+  template <typename... Args>
+  Result<ModelInfo> CreateRdfModel(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.CreateRdfModel(args...); });
   }
-  Result<bool> IsReified(const std::string& model_name,
-                         const std::string& subject,
-                         const std::string& property,
-                         const std::string& object) const {
-    return Snapshot()->IsReified(model_name, subject, property, object);
+  template <typename... Args>
+  Status DropRdfModel(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.DropRdfModel(args...); });
   }
-  Result<LinkId> GetTripleId(const std::string& model_name,
-                             const std::string& subject,
-                             const std::string& property,
-                             const std::string& object) const {
-    return Snapshot()->GetTripleId(model_name, subject, property, object);
+  template <typename... Args>
+  Result<SdoRdfTripleS> InsertTriple(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.InsertTriple(args...); });
   }
-  Result<ModelId> GetModelId(const std::string& model_name) const {
-    return Snapshot()->GetModelId(model_name);
+  template <typename... Args>
+  Status DeleteTriple(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.DeleteTriple(args...); });
   }
-  Result<RdfStore::ModelStats> GetModelStats(
-      const std::string& model_name,
-      const RdfStore::ModelStatsOptions& options = {}) const {
-    return Snapshot()->GetModelStats(model_name, options);
+  template <typename... Args>
+  Result<SdoRdfTripleS> ReifyTriple(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.ReifyTriple(args...); });
   }
-  Result<SdoRdfTriple> ResolveTriple(LinkId rdf_t_id) const {
-    return Snapshot()->ResolveTriple(rdf_t_id);
+  template <typename... Args>
+  Result<SdoRdfTripleS> AssertAboutTriple(const Args&... args) {
+    return Apply(
+        [&](RdfStore& live) { return live.AssertAboutTriple(args...); });
+  }
+  template <typename... Args>
+  Result<SdoRdfTripleS> AssertImplied(const Args&... args) {
+    return Apply([&](RdfStore& live) { return live.AssertImplied(args...); });
+  }
+
+  /// Run `fn` against the live store under the writer lock.
+  ///
+  /// A `fn` that takes `const RdfStore&` is a read: it neither logs nor
+  /// publishes, and Apply returns what it returns.
+  ///
+  /// A `fn` that takes `RdfStore&` is a write batch returning void,
+  /// Status or Result<T>. Its constructor calls log themselves; if it
+  /// wrote around them (RdfStore::MarkUnloggedWrite, e.g. a bulk load),
+  /// a logged store checkpoints. Then ONE version covering the whole
+  /// batch is published — also when `fn` failed partway, so readers
+  /// converge on whatever state it left. Apply returns `fn`'s result,
+  /// or the checkpoint/publish error when `fn` succeeded.
+  /// If an earlier batch's checkpoint failed, a write batch retries it
+  /// first and fails without running `fn` if it fails again.
+  template <typename Fn>
+  auto Apply(Fn&& fn) {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    if constexpr (std::is_invocable_v<Fn&, const RdfStore&>) {
+      return fn(std::as_const(*store_));
+    } else if constexpr (std::is_void_v<std::invoke_result_t<Fn&, RdfStore&>>) {
+      Status covered = CoverLocked();
+      if (covered.ok()) fn(*store_);
+      return covered.ok() ? CommitLocked() : covered;
+    } else {
+      Status covered = CoverLocked();
+      if (!covered.ok()) return decltype(fn(*store_))(covered);
+      auto result = fn(*store_);
+      Status committed = CommitLocked();
+      if (result.ok() && !committed.ok()) return decltype(result)(committed);
+      return result;
+    }
+  }
+
+  /// Under the writer lock, write generation G+1 (atomic), swap the
+  /// manifest to it with log_start_seq = the next unused seq, then
+  /// truncate the log and delete generation G. A crash at any point
+  /// recovers from G + the full log, or G+1 + the log filtered by seq
+  /// (DESIGN.md §11). NotSupported on a log-free store.
+  Status Checkpoint() {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    return CheckpointLocked();
+  }
+
+  /// Current snapshot generation (0 = none yet).
+  uint64_t generation() const {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    return generation_;
+  }
+  /// Stats from the replay that Open performed.
+  const ReplayStats& recovery_stats() const { return recovery_stats_; }
+
+  /// Snapshot file name for generation `gen` of the store rooted at
+  /// `snapshot_path` ("<snapshot_path>.g<gen>").
+  static std::string GenerationFileName(const std::string& snapshot_path,
+                                        uint64_t gen) {
+    return snapshot_path + ".g" + std::to_string(gen);
+  }
+  /// Manifest path for the store rooted at `snapshot_path`.
+  static std::string ManifestPath(const std::string& snapshot_path) {
+    return snapshot_path + ".manifest";
   }
 
   // ---- Observability / introspection ------------------------------------
 
   obs::MetricsRegistry& metrics_registry() const {
-    return store_.metrics_registry();
+    return store_->metrics_registry();
   }
 
   /// Attach the always-on facilities under the writer lock; they are
@@ -278,6 +309,15 @@ class SnapshotRdfStore {
   }
 
  private:
+  explicit SnapshotRdfStore(std::unique_ptr<RdfStore> store);
+
+  /// Checkpoint a logged store that holds unlogged writes, if any.
+  Status CoverLocked();
+  /// The end of every write batch: CoverLocked, then publish.
+  Status CommitLocked();
+
+  Status CheckpointLocked();
+
   /// Snapshot the live store's read state into a fresh StoreVersion,
   /// swap it in, retire the displaced one, and sweep.
   Status PublishLocked();
@@ -289,8 +329,9 @@ class SnapshotRdfStore {
 
   // Declaration order is the destruction contract (reverse): the
   // current version and the retire list die before the dictionary and
-  // the live store they point into.
-  RdfStore store_;
+  // the live store they point into, and the store before its log.
+  std::unique_ptr<RedoLog> log_;  ///< null = log-free
+  std::unique_ptr<RdfStore> store_;
   TermDict dict_;
   mutable EpochGc gc_;
   std::shared_ptr<const StoreVersion> current_sp_;
@@ -300,6 +341,11 @@ class SnapshotRdfStore {
   double retention_warn_seconds_ = 5.0;            ///< under writer_mu_
   mutable std::chrono::steady_clock::time_point
       last_stall_warn_{};  ///< under writer_mu_
+  // Checkpoint state of a logged store (under writer_mu_).
+  std::string snapshot_path_;
+  storage::Env* env_ = nullptr;
+  uint64_t generation_ = 0;
+  ReplayStats recovery_stats_;
 };
 
 }  // namespace rdfdb::rdf

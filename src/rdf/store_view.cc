@@ -143,17 +143,11 @@ Result<StoreView::ModelStats> StoreView::GetModelStats(
 }
 
 Result<LinkStore::IdQuad> StoreView::QuadForLink(LinkId rdf_t_id) const {
-  // LINK_ID alone does not name a model; probe each model's sorted
-  // LINK_ID index (models are few, probes are O(log n)).
-  for (const std::string& name : ModelNames()) {
-    Result<ModelId> model_id = GetModelId(name);
-    const LinkStore::ModelIdCache* cache =
-        model_id.ok() ? CacheFor(*model_id) : nullptr;
-    if (cache == nullptr) continue;
-    int64_t idx = cache->IndexOfLink(rdf_t_id);
-    if (idx >= 0) return cache->quads[static_cast<uint32_t>(idx)];
+  const LinkStore::IdQuad* quad = FindLink(rdf_t_id);
+  if (quad == nullptr) {
+    return Status::NotFound("LINK_ID " + std::to_string(rdf_t_id));
   }
-  return Status::NotFound("LINK_ID " + std::to_string(rdf_t_id));
+  return *quad;
 }
 
 Result<SdoRdfTriple> StoreView::ResolveTriple(LinkId rdf_t_id) const {

@@ -1,8 +1,9 @@
 // StoreView: the read side of the RDF store, written once.
 //
 // A store implements a handful of virtual hooks — model-name
-// resolution, the model list, term lookups (global and model-scoped
-// blank nodes), VALUE_ID → term, and each model's id-native quad cache.
+// resolution, term lookups (global and model-scoped blank nodes),
+// VALUE_ID → term, each model's id-native quad cache, and the quad of a
+// LINK_ID.
 // Everything else a reader calls is a non-virtual member built on those
 // hooks: the paper's point reads (IS_TRIPLE, IS_REIFIED, GET_TRIPLE_ID),
 // model statistics, triple resolution for the member functions, and
@@ -17,7 +18,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "rdf/link_store.h"
@@ -45,9 +45,6 @@ class StoreView {
   /// MODEL_ID for a model name (case-insensitive); NotFound if absent.
   virtual Result<ModelId> GetModelId(const std::string& model_name) const = 0;
 
-  /// Names of all models, sorted.
-  virtual std::vector<std::string> ModelNames() const = 0;
-
   /// VALUE_ID of an interned non-blank term; nullopt if never stored.
   /// Blank nodes are model-scoped: see LookupBlank / LookupTerm.
   virtual std::optional<ValueId> LookupValue(const Term& term) const = 0;
@@ -64,6 +61,10 @@ class StoreView {
   /// one for a StoreVersion — or null when the model has no rows. Reads
   /// go through LinkStore::Scan.
   virtual const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const = 0;
+
+  /// The live quad carrying `rdf_t_id` in whichever model holds it, or
+  /// null (LinkStore::FindLinkIn over the store's own cache map).
+  virtual const LinkStore::IdQuad* FindLink(LinkId rdf_t_id) const = 0;
 
   /// Observability attachments; null when disabled.
   virtual obs::StoreMetrics* metrics() const { return nullptr; }
@@ -150,7 +151,7 @@ class StoreView {
                                               const std::string& object,
                                               ModelId* model_id) const;
 
-  /// The quad carrying `rdf_t_id` in whichever model holds it.
+  /// FindLink, or NotFound.
   Result<LinkStore::IdQuad> QuadForLink(LinkId rdf_t_id) const;
 };
 

@@ -18,7 +18,10 @@
 // Endpoints:
 //   GET  /query?q=<patterns>&model=<m>[&model=..][&filter=..]
 //        [&limit=N][&distinct=1][&threads=N]      rows as JSON
-//   POST /insert?model=<m>[&create=1]             N-Triples body
+//   POST /insert?model=<m>[&create=1]             N-Triples body, one
+//                                                 batch; logged per
+//                                                 statement (a crash may
+//                                                 keep a prefix)
 //   POST /reify?model=<m>&id=<rdf_t_id>           reify a stored triple
 //   GET  /metrics /varz /healthz /slow /timeline /profilez /allocz
 //        /activityz /historyz                     delegated to the

@@ -5,8 +5,9 @@
 // possible, sharing none of its storage or execution code: each model
 // is a vector of (s, p, o, canonical o) Terms, SDO_RDF_MATCH is a
 // nested-loop join over those vectors in the order the patterns are
-// written, and the reification constructors and LoggedRdfStore's
-// checkpoint/replay are re-derived from the paper's rules. What it
+// written, and the reification constructors and the logged
+// SnapshotRdfStore's checkpoint/replay are re-derived from the paper's
+// rules. What it
 // does share is the front end that turns text into Terms: the API term
 // parser, ParsePatterns, ParseFilter/FilterExpr and CanonicalForm.
 //
@@ -136,12 +137,12 @@ class ReferenceStore {
   Result<RefRows> Match(const RefQuery& query,
                         const std::vector<std::string>& models) const;
 
-  // ---- Durability (LoggedRdfStore) ----------------------------------------
+  // ---- Durability (a logged SnapshotRdfStore) -----------------------------
 
   /// Save the current state as the recovery point and clear the log.
   void Checkpoint();
 
-  /// Rebuild the state the way a reopened LoggedRdfStore does: the last
+  /// Rebuild the state the way a reopened logged store does: the last
   /// checkpoint, then every logged mutation since, in order.
   Status Recover();
 

@@ -13,6 +13,7 @@
 
 #include "common/crc32c.h"
 #include "rdf/redo_log.h"
+#include "rdf/snapshot_store.h"
 #include "storage/database.h"
 #include "storage/env.h"
 #include "storage/snapshot.h"
@@ -22,10 +23,10 @@ namespace rdfdb {
 namespace {
 
 using rdf::CheckpointManifest;
-using rdf::LoggedRdfStore;
 using rdf::RdfStore;
 using rdf::ReplayOptions;
 using rdf::ReplayRedoLog;
+using rdf::SnapshotRdfStore;
 using rdf::VerifyRedoLog;
 
 std::string ReadFile(const std::string& path) {
@@ -69,7 +70,7 @@ class CorruptRecoveryTest : public ::testing::Test {
 
     // Build a real store: checkpoint (=> generation snapshot +
     // manifest) plus post-checkpoint log records.
-    auto db = LoggedRdfStore::Open(base_, base_ + ".log");
+    auto db = SnapshotRdfStore::Open(base_, base_ + ".log");
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     for (int i = 0; i < 20; ++i) {
@@ -87,8 +88,8 @@ class CorruptRecoveryTest : public ::testing::Test {
                       .ok());
     }
     snapshot_bytes_ =
-        ReadFile(LoggedRdfStore::GenerationFileName(base_, 1));
-    manifest_bytes_ = ReadFile(LoggedRdfStore::ManifestPath(base_));
+        ReadFile(SnapshotRdfStore::GenerationFileName(base_, 1));
+    manifest_bytes_ = ReadFile(SnapshotRdfStore::ManifestPath(base_));
     log_bytes_ = ReadFile(base_ + ".log");
     ASSERT_GT(snapshot_bytes_.size(), kFooterSize);
     ASSERT_FALSE(manifest_bytes_.empty());
@@ -254,7 +255,7 @@ TEST_F(CorruptRecoveryTest, MidLogTruncationIsATornTail) {
 }
 
 TEST_F(CorruptRecoveryTest, ManifestCorruptionRejected) {
-  const std::string manifest_path = LoggedRdfStore::ManifestPath(base_);
+  const std::string manifest_path = SnapshotRdfStore::ManifestPath(base_);
   // Bit flips anywhere in the manifest are caught by its CRC line (or
   // by field validation for flips inside the crc line itself).
   for (size_t i = 0; i < manifest_bytes_.size(); ++i) {
@@ -265,7 +266,7 @@ TEST_F(CorruptRecoveryTest, ManifestCorruptionRejected) {
     EXPECT_FALSE(read.ok()) << "flip at byte " << i;
     // A corrupt recovery root fails the whole open — it must not
     // silently fall back to an empty store.
-    EXPECT_FALSE(LoggedRdfStore::Open(base_, base_ + ".log").ok())
+    EXPECT_FALSE(SnapshotRdfStore::Open(base_, base_ + ".log").ok())
         << "flip at byte " << i;
   }
   WriteFile(manifest_path, "not a manifest at all\n");
@@ -275,10 +276,12 @@ TEST_F(CorruptRecoveryTest, ManifestCorruptionRejected) {
   EXPECT_FALSE(rdf::ReadManifest(manifest_path).ok());
   // Restore and prove the corpus base is genuinely recoverable.
   WriteFile(manifest_path, manifest_bytes_);
-  auto recovered = LoggedRdfStore::Open(base_, base_ + ".log");
+  auto recovered = SnapshotRdfStore::Open(base_, base_ + ".log");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->store().links().TotalTripleCount(), 28u);
-  EXPECT_TRUE((*recovered)->store().CheckConsistency().ok());
+  (*recovered)->Apply([](const RdfStore& store) {
+    EXPECT_EQ(store.links().TotalTripleCount(), 28u);
+    EXPECT_TRUE(store.CheckConsistency().ok());
+  });
 }
 
 TEST_F(CorruptRecoveryTest, SeqTamperingRejected) {
@@ -301,14 +304,14 @@ TEST_F(CorruptRecoveryTest, SeqTamperingRejected) {
 
 TEST_F(CorruptRecoveryTest, PristineFilesVerifyClean) {
   auto info = storage::VerifySnapshotFile(
-      LoggedRdfStore::GenerationFileName(base_, 1));
+      SnapshotRdfStore::GenerationFileName(base_, 1));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_GT(info->table_count, 0u);
   auto log_stats = VerifyRedoLog(base_ + ".log");
   ASSERT_TRUE(log_stats.ok()) << log_stats.status().ToString();
   EXPECT_EQ(log_stats->records, 8u);  // post-checkpoint inserts
   EXPECT_FALSE(log_stats->torn_tail);
-  auto manifest = rdf::ReadManifest(LoggedRdfStore::ManifestPath(base_));
+  auto manifest = rdf::ReadManifest(SnapshotRdfStore::ManifestPath(base_));
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(manifest->generation, 1u);
 }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "rdf/redo_log.h"
+#include "rdf/snapshot_store.h"
 #include "storage/env.h"
 #include "test_temp_dir.h"
 
@@ -98,7 +98,7 @@ std::vector<Op> MakeWorkload(uint64_t seed, size_t n_ops) {
 /// a missing triple, reify of a missing triple) are expected — only
 /// successful ops reach the log. Checkpoint failure under an armed
 /// fault is a crash like any other.
-Status ApplyLogged(LoggedRdfStore* db, const Op& op) {
+Status ApplyLogged(SnapshotRdfStore* db, const Op& op) {
   switch (op.kind) {
     case Op::kCreateModel:
       return db->CreateRdfModel(op.model, op.a, op.b).status();
@@ -109,12 +109,12 @@ Status ApplyLogged(LoggedRdfStore* db, const Op& op) {
     case Op::kDelete:
       return db->DeleteTriple(op.model, op.s, op.p, op.o);
     case Op::kReify: {
-      auto id = db->store().GetTripleId(op.model, op.s, op.p, op.o);
+      auto id = db->Snapshot()->GetTripleId(op.model, op.s, op.p, op.o);
       if (!id.ok()) return id.status();
       return db->ReifyTriple(op.model, *id).status();
     }
     case Op::kAssertAbout: {
-      auto id = db->store().GetTripleId(op.model, op.s, op.p, op.o);
+      auto id = db->Snapshot()->GetTripleId(op.model, op.s, op.p, op.o);
       if (!id.ok()) return id.status();
       return db->AssertAboutTriple(op.model, op.a, op.b, *id).status();
     }
@@ -214,11 +214,11 @@ class CrashRecoveryTest : public ::testing::Test {
     rm(base);
     rm(base + ".tmp");
     rm(base + ".log");
-    rm(LoggedRdfStore::ManifestPath(base));
-    rm(LoggedRdfStore::ManifestPath(base) + ".tmp");
+    rm(SnapshotRdfStore::ManifestPath(base));
+    rm(SnapshotRdfStore::ManifestPath(base) + ".tmp");
     for (uint64_t gen = 1; gen <= 8; ++gen) {
-      rm(LoggedRdfStore::GenerationFileName(base, gen));
-      rm(LoggedRdfStore::GenerationFileName(base, gen) + ".tmp");
+      rm(SnapshotRdfStore::GenerationFileName(base, gen));
+      rm(SnapshotRdfStore::GenerationFileName(base, gen) + ".tmp");
     }
   }
 
@@ -231,7 +231,7 @@ class CrashRecoveryTest : public ::testing::Test {
     LoggedStoreOptions options;
     options.sync_mode = sync_mode;
     options.env = env;
-    auto db = LoggedRdfStore::Open(base, base + ".log", options);
+    auto db = SnapshotRdfStore::Open(base, base + ".log", options);
     if (!db.ok()) return 0;  // crashed during open
     size_t acked = 0;
     for (const Op& op : ops_) {
@@ -251,15 +251,17 @@ class CrashRecoveryTest : public ::testing::Test {
   /// index of the *largest* reference prefix it matches (-1 = none).
   int RecoverAndMatch(const std::string& base, std::string* dump_out,
                       bool* torn_out = nullptr) {
-    auto recovered = LoggedRdfStore::Open(base, base + ".log");
+    auto recovered = SnapshotRdfStore::Open(base, base + ".log");
     EXPECT_TRUE(recovered.ok())
         << "recovery failed: " << recovered.status().ToString();
     if (!recovered.ok()) return -1;
-    EXPECT_TRUE((*recovered)->store().CheckConsistency().ok());
+    std::string dump = (*recovered)->Apply([](const RdfStore& store) {
+      EXPECT_TRUE(store.CheckConsistency().ok());
+      return DumpStore(store);
+    });
     if (torn_out != nullptr) {
       *torn_out = (*recovered)->recovery_stats().torn_tail;
     }
-    std::string dump = DumpStore((*recovered)->store());
     if (dump_out != nullptr) *dump_out = dump;
     for (int k = static_cast<int>(dumps_.size()) - 1; k >= 0; --k) {
       if (dumps_[static_cast<size_t>(k)] == dump) return k;

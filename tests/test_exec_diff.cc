@@ -118,15 +118,11 @@ DiffData* SharedData() {
   return data;
 }
 
-/// Run `fn(rdf::RdfStore&)` on the shared live store and return its
-/// result. The version published afterwards holds whatever `fn` changed.
+/// Run the read `fn(const rdf::RdfStore&)` on the shared live store
+/// under its writer lock and return its result.
 template <typename Fn>
 auto OnLive(Fn&& fn) {
-  std::optional<decltype(fn(std::declval<rdf::RdfStore&>()))> out;
-  Status published = SharedData()->versions.Apply(
-      [&](rdf::RdfStore& store) { out.emplace(fn(store)); });
-  EXPECT_TRUE(published.ok()) << published.ToString();
-  return std::move(*out);
+  return SharedData()->versions.Apply(fn);
 }
 
 /// Render a sampled term as a pattern token (the N-Triples forms are
@@ -261,9 +257,8 @@ Result<MatchResult> RunQuery(const GeneratedQuery& q, unsigned threads,
   MatchOptions options = q.options;
   options.threads = threads;
   options.chunk_frames = chunk_frames;
-  return OnLive([&](rdf::RdfStore& store) {
-    return SdoRdfMatch(&store, nullptr, q.patterns, {model}, {}, {},
-                       q.filter, options);
+  return OnLive([&](const rdf::RdfStore& store) {
+    return SdoRdfMatch(store, q.patterns, {model}, {}, q.filter, options);
   });
 }
 
@@ -488,7 +483,7 @@ using IdQuadTuple = std::array<rdf::ValueId, 4>;
 /// Every live quad of `model_id`, read from the rdf_link$ table rows
 /// (not the compressed cache).
 std::vector<IdQuadTuple> TableScanQuads(rdf::ModelId model_id) {
-  return OnLive([&](rdf::RdfStore& store) {
+  return OnLive([&](const rdf::RdfStore& store) {
     std::vector<IdQuadTuple> quads;
     store.links().ScanModel(model_id, [&](const rdf::LinkRow& row) {
       quads.push_back({row.start_node_id, row.p_value_id, row.end_node_id,
@@ -538,7 +533,7 @@ void ExpectProbeMatchesOracle(rdf::ModelId model_id,
     expected.push_back(q);
   }
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(OnLive([&](rdf::RdfStore& store) {
+  EXPECT_EQ(OnLive([&](const rdf::RdfStore& store) {
               return KernelScan(store, model_id, s, p, canon_o);
             }),
             expected)
@@ -550,7 +545,7 @@ void ExpectProbeMatchesOracle(rdf::ModelId model_id,
 }
 
 TEST(ExecDiffTest, CompressedLeafScanMatchesTableScanOracle) {
-  auto model_id = SharedData()->versions.GetModelId(kModel);
+  auto model_id = SharedData()->versions.Snapshot()->GetModelId(kModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
   const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_GE(oracle.size(), 1000u);
@@ -604,7 +599,7 @@ TEST(ExecDiffTest, TombstonedQuadsVanishFromCompressedScans) {
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
-  auto model_id = data.versions.GetModelId(kTombModel);
+  auto model_id = data.versions.Snapshot()->GetModelId(kTombModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
   const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_FALSE(oracle.empty());
@@ -693,7 +688,7 @@ TEST(ExecDiffTest, GallopingIntersectionMatchesReferenceModel) {
   // 62000 rows — so it is deliberately absent.)
 
   // Same shapes at the id level against the table-scan oracle.
-  auto model_id = data.versions.GetModelId(kGallopModel);
+  auto model_id = data.versions.Snapshot()->GetModelId(kGallopModel);
   ASSERT_TRUE(model_id.ok()) << model_id.status().ToString();
   const std::vector<IdQuadTuple> oracle = TableScanQuads(*model_id);
   ASSERT_EQ(oracle.size(), 70200u);

@@ -6,6 +6,9 @@
 #include <fstream>
 
 #include "common/crc32c.h"
+#include "rdf/bulk_load.h"
+#include "rdf/ntriples.h"
+#include "rdf/snapshot_store.h"
 #include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
@@ -35,7 +38,7 @@ class RedoLogTest : public ::testing::Test {
 
 TEST_F(RedoLogTest, CrashRecoveryFromLogOnly) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("cia", "ciadata", "triple").ok());
     ASSERT_TRUE((*db)
@@ -48,21 +51,22 @@ TEST_F(RedoLogTest, CrashRecoveryFromLogOnly) {
                     .ok());
     // "Crash": drop the in-memory store without checkpointing.
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_TRUE(*store.IsTriple("cia", "gov:files", "gov:terrorSuspect",
-                              "id:JohnDoe"));
-  EXPECT_TRUE(*store.IsTriple("cia", "gov:files", "gov:terrorSuspect",
-                              "id:JaneDoe"));
-  EXPECT_EQ(store.links().TotalTripleCount(), 2u);
-  EXPECT_TRUE(store.CheckConsistency().ok());
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_TRUE(*store.IsTriple("cia", "gov:files", "gov:terrorSuspect",
+                                "id:JohnDoe"));
+    EXPECT_TRUE(*store.IsTriple("cia", "gov:files", "gov:terrorSuspect",
+                                "id:JaneDoe"));
+    EXPECT_EQ(store.links().TotalTripleCount(), 2u);
+    EXPECT_TRUE(store.CheckConsistency().ok());
+  });
 }
 
 TEST_F(RedoLogTest, ReificationAndAssertionsReplay) {
   LinkId original_base = 0;
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("cia", "ciadata", "triple").ok());
     auto base = (*db)->InsertTriple("cia", "gov:files",
@@ -80,43 +84,45 @@ TEST_F(RedoLogTest, ReificationAndAssertionsReplay) {
                                     "id:JohnDoeJr")
                     .ok());
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_TRUE(*store.IsReified("cia", "gov:files", "gov:terrorSuspect",
-                               "id:JohnDoe"));
-  EXPECT_TRUE(*store.IsReified("cia", "gov:files", "gov:terrorSuspect",
-                               "id:JohnDoeJr"));
-  // Implied context preserved through replay.
-  auto implied_id = store.GetTripleId("cia", "gov:files",
-                                      "gov:terrorSuspect", "id:JohnDoeJr");
-  ASSERT_TRUE(implied_id.ok());
-  EXPECT_EQ(store.links().Get(*implied_id)->context,
-            TripleContext::kImplied);
-  // Same logical state: 1 fact + 2 reifs + 2 assertions + 1 implied = 6.
-  EXPECT_EQ(store.links().TotalTripleCount(), 6u);
-  (void)original_base;
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_TRUE(*store.IsReified("cia", "gov:files", "gov:terrorSuspect",
+                                 "id:JohnDoe"));
+    EXPECT_TRUE(*store.IsReified("cia", "gov:files", "gov:terrorSuspect",
+                                 "id:JohnDoeJr"));
+    // Implied context preserved through replay.
+    auto implied_id = store.GetTripleId("cia", "gov:files",
+                                        "gov:terrorSuspect", "id:JohnDoeJr");
+    ASSERT_TRUE(implied_id.ok());
+    EXPECT_EQ(store.links().Get(*implied_id)->context,
+              TripleContext::kImplied);
+    // Same logical state: 1 fact + 2 reifs + 2 assertions + 1 implied = 6.
+    EXPECT_EQ(store.links().TotalTripleCount(), 6u);
+    (void)original_base;
+  });
 }
 
 TEST_F(RedoLogTest, DeletesReplay) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     ASSERT_TRUE((*db)->InsertTriple("m", "gov:a", "gov:p", "gov:b").ok());
     ASSERT_TRUE((*db)->InsertTriple("m", "gov:c", "gov:p", "gov:d").ok());
     ASSERT_TRUE((*db)->DeleteTriple("m", "gov:a", "gov:p", "gov:b").ok());
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_FALSE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
-  EXPECT_TRUE(*store.IsTriple("m", "gov:c", "gov:p", "gov:d"));
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_FALSE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
+    EXPECT_TRUE(*store.IsTriple("m", "gov:c", "gov:p", "gov:d"));
+  });
 }
 
 TEST_F(RedoLogTest, TypedLiteralsAndBlanksSurviveReplay) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     ASSERT_TRUE(
@@ -128,29 +134,30 @@ TEST_F(RedoLogTest, TypedLiteralsAndBlanksSurviveReplay) {
                     .ok());
     // Reify a triple with a blank subject (exercises the original-label
     // recovery path in logical logging).
-    auto base = (*db)->store().GetTripleId("m", "_:b1", "gov:label",
-                                           "\"tab\\there\"@en");
+    auto base = (*db)->Snapshot()->GetTripleId("m", "_:b1", "gov:label",
+                                 "\"tab\\there\"@en");
     ASSERT_TRUE(base.ok());
     ASSERT_TRUE((*db)->ReifyTriple("m", *base).ok());
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_TRUE(*store.IsTriple("m", "gov:x", "gov:age",
-                              "\"+025\"^^xsd:int"));
-  // Canonicalization still applied after replay: query the canon form.
-  auto id = store.GetTripleId("m", "gov:x", "gov:age",
-                              "\"+025\"^^xsd:int");
-  ASSERT_TRUE(id.ok());
-  auto row = store.links().Get(*id);
-  EXPECT_NE(row->end_node_id, row->canon_end_node_id);
-  EXPECT_TRUE(*store.IsReified("m", "_:b1", "gov:label",
-                               "\"tab\\there\"@en"));
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_TRUE(*store.IsTriple("m", "gov:x", "gov:age",
+                                "\"+025\"^^xsd:int"));
+    // Canonicalization still applied after replay: query the canon form.
+    auto id = store.GetTripleId("m", "gov:x", "gov:age",
+                                "\"+025\"^^xsd:int");
+    ASSERT_TRUE(id.ok());
+    auto row = store.links().Get(*id);
+    EXPECT_NE(row->end_node_id, row->canon_end_node_id);
+    EXPECT_TRUE(*store.IsReified("m", "_:b1", "gov:label",
+                                 "\"tab\\there\"@en"));
+  });
 }
 
 TEST_F(RedoLogTest, CheckpointTruncatesLogAndKeepsState) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     ASSERT_TRUE((*db)->InsertTriple("m", "gov:a", "gov:p", "gov:b").ok());
@@ -167,17 +174,18 @@ TEST_F(RedoLogTest, CheckpointTruncatesLogAndKeepsState) {
   }
   EXPECT_EQ(lines, 1u);
 
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_TRUE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
-  EXPECT_TRUE(*store.IsTriple("m", "gov:c", "gov:p", "gov:d"));
-  EXPECT_TRUE(store.CheckConsistency().ok());
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_TRUE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
+    EXPECT_TRUE(*store.IsTriple("m", "gov:c", "gov:p", "gov:d"));
+    EXPECT_TRUE(store.CheckConsistency().ok());
+  });
 }
 
 TEST_F(RedoLogTest, ModelDropReplays) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("temp", "t", "triple").ok());
     ASSERT_TRUE((*db)->InsertTriple("temp", "gov:a", "gov:p", "gov:b")
@@ -185,17 +193,18 @@ TEST_F(RedoLogTest, ModelDropReplays) {
     ASSERT_TRUE((*db)->DropRdfModel("temp").ok());
     ASSERT_TRUE((*db)->CreateRdfModel("keep", "k", "triple").ok());
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  RdfStore& store = (*recovered)->store();
-  EXPECT_TRUE(store.GetModelId("temp").status().IsNotFound());
-  EXPECT_TRUE(store.GetModelId("keep").ok());
-  EXPECT_EQ(store.links().TotalTripleCount(), 0u);
+  (*recovered)->Apply([&](const RdfStore& store) {
+    EXPECT_TRUE(store.GetModelId("temp").status().IsNotFound());
+    EXPECT_TRUE(store.GetModelId("keep").ok());
+    EXPECT_EQ(store.links().TotalTripleCount(), 0u);
+  });
 }
 
 TEST_F(RedoLogTest, FailedOperationsAreNotLogged) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     // Inserting into a missing model fails and must leave no record.
     EXPECT_FALSE(
@@ -207,7 +216,7 @@ TEST_F(RedoLogTest, FailedOperationsAreNotLogged) {
                        std::istreambuf_iterator<char>());
   EXPECT_TRUE(contents.empty());
   // And recovery from the empty log succeeds.
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
 }
 
@@ -219,7 +228,7 @@ TEST_F(RedoLogTest, CorruptLogRejected) {
     log << "Z\tgarbage\trecord\n";
     log << FramedRecord(2, "X\tm");
   }
-  EXPECT_TRUE(LoggedRdfStore::Open(snapshot_path_, log_path_)
+  EXPECT_TRUE(SnapshotRdfStore::Open(snapshot_path_, log_path_)
                   .status()
                   .IsCorruption());
 }
@@ -237,7 +246,7 @@ TEST_F(RedoLogTest, TruncatedFieldCountRejected) {
 
 TEST_F(RedoLogTest, TornFinalRecordToleratedAndTruncated) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     ASSERT_TRUE((*db)->InsertTriple("m", "gov:a", "gov:p", "gov:b").ok());
@@ -250,17 +259,17 @@ TEST_F(RedoLogTest, TornFinalRecordToleratedAndTruncated) {
     std::ofstream append(log_path_, std::ios::app);
     append << "3\tdeadbe";  // torn: no CRC, no body, no newline
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE((*recovered)->recovery_stats().torn_tail);
   EXPECT_EQ((*recovered)->recovery_stats().records, 2u);
-  EXPECT_TRUE(*(*recovered)->store().IsTriple("m", "gov:a", "gov:p",
+  EXPECT_TRUE(*(*recovered)->Snapshot()->IsTriple("m", "gov:a", "gov:p",
                                               "gov:b"));
   // The torn bytes were truncated away at the last valid boundary.
   std::ifstream log(log_path_, std::ios::binary | std::ios::ate);
   EXPECT_EQ(static_cast<std::uintmax_t>(log.tellg()), clean_size);
   // ... so a second recovery is clean.
-  recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE((*recovered)->recovery_stats().torn_tail);
 }
@@ -271,13 +280,13 @@ TEST_F(RedoLogTest, SeqGapRejected) {
     log << FramedRecord(1, "C\tm\tt\tc\t");
     log << FramedRecord(3, "X\tm");  // 2 is missing
   }
-  EXPECT_TRUE(LoggedRdfStore::Open(snapshot_path_, log_path_)
+  EXPECT_TRUE(SnapshotRdfStore::Open(snapshot_path_, log_path_)
                   .status()
                   .IsCorruption());
 }
 
 TEST_F(RedoLogTest, PoisonedLogFailsFast) {
-  auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(db.ok());
   storage::FaultInjectingEnv env;
   RedoLogOptions opts;
@@ -305,7 +314,7 @@ TEST_F(RedoLogTest, MissingLogIsEmpty) {
 
 TEST_F(RedoLogTest, EscapingRoundTrips) {
   {
-    auto db = LoggedRdfStore::Open(snapshot_path_, log_path_);
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
     // Literal with tab, newline and backslash.
@@ -314,10 +323,130 @@ TEST_F(RedoLogTest, EscapingRoundTrips) {
                                    "\"line1\\nline2\\ttabbed\"")
                     .ok());
   }
-  auto recovered = LoggedRdfStore::Open(snapshot_path_, log_path_);
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(*(*recovered)->store().IsTriple(
+  EXPECT_TRUE(*(*recovered)->Snapshot()->IsTriple(
       "m", "gov:doc", "gov:body", "\"line1\\nline2\\ttabbed\""));
+}
+
+TEST_F(RedoLogTest, ParsedInsertsInABatchAreLogged) {
+  // The server's /insert path: one Apply batch of parsed triples. Each
+  // insert appends its record, so no checkpoint is needed to cover it.
+  {
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)
+                    ->Apply([](RdfStore& live) -> Status {
+                      RDFDB_RETURN_NOT_OK(
+                          live.CreateRdfModel("m", "mdata", "triple")
+                              .status());
+                      RDFDB_ASSIGN_OR_RETURN(ModelId model,
+                                             live.GetModelId("m"));
+                      for (const char* label : {"b1", "b2"}) {
+                        RDFDB_RETURN_NOT_OK(
+                            live.InsertParsedTriple(
+                                    model, Term::BlankNode(label),
+                                    Term::Uri("http://ex/p"),
+                                    Term::PlainLiteralLang("tab\there", "en"))
+                                .status());
+                      }
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ((*db)->generation(), 0u);
+  }
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ((*recovered)->recovery_stats().inserts, 2u);
+  EXPECT_TRUE(*(*recovered)->Snapshot()->IsTriple("m", "_:b2", "<http://ex/p>",
+                                      "\"tab\\there\"@en"));
+  EXPECT_EQ((*recovered)->Snapshot()->TotalTripleCount(), 2u);
+}
+
+TEST_F(RedoLogTest, BatchWrittenAroundTheLogIsCheckpointed) {
+  // No record covers a bulk load (it marks an unlogged write): Apply
+  // checkpoints before it returns.
+  std::vector<NTriple> statements;
+  for (int i = 0; i < 50; ++i) {
+    statements.push_back(NTriple{Term::Uri("http://ex/s" + std::to_string(i)),
+                                 Term::Uri("http://ex/p"),
+                                 Term::PlainLiteral("v")});
+  }
+  {
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
+    EXPECT_EQ((*db)->generation(), 0u);
+    ASSERT_TRUE((*db)
+                    ->Apply([&](RdfStore& live) {
+                      return BulkLoad(&live, "m", statements).status();
+                    })
+                    .ok());
+    EXPECT_EQ((*db)->generation(), 1u);
+    // A read-only batch changes nothing, so it does not checkpoint.
+    (*db)->Apply([](const RdfStore& live) {
+      EXPECT_EQ(live.links().TotalTripleCount(), 50u);
+    });
+    EXPECT_EQ((*db)->generation(), 1u);
+  }
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ((*recovered)->Snapshot()->TotalTripleCount(), 50u);
+  EXPECT_EQ((*recovered)->recovery_stats().records, 0u);
+}
+
+TEST_F(RedoLogTest, FailedCoveringCheckpointBlocksLaterWrites) {
+  // A bulk load whose covering checkpoint fails stays uncovered: the
+  // next write batch retries the checkpoint before it runs, so no
+  // record is ever logged over bulk-loaded state that no file holds.
+  std::vector<NTriple> statements;
+  for (int i = 0; i < 50; ++i) {
+    statements.push_back(NTriple{Term::Uri("http://ex/s" + std::to_string(i)),
+                                 Term::Uri("http://ex/p"),
+                                 Term::PlainLiteral("v")});
+  }
+  storage::FaultInjectingEnv env;
+  LoggedStoreOptions options;
+  options.env = &env;
+  {
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_, options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
+    env.FailOnce(1);  // the checkpoint's first file operation
+    EXPECT_FALSE((*db)
+                     ->Apply([&](RdfStore& live) {
+                       return BulkLoad(&live, "m", statements).status();
+                     })
+                     .ok());
+    EXPECT_EQ((*db)->generation(), 0u);
+
+    // The retried checkpoint fails too: the insert does not run.
+    env.FailOnce(1);
+    EXPECT_FALSE(
+        (*db)->InsertTriple("m", "<http://ex/x>", "<http://ex/p>", "\"v\"")
+            .ok());
+    EXPECT_EQ((*db)->generation(), 0u);
+    EXPECT_FALSE(*(*db)->Snapshot()->IsTriple("m", "<http://ex/x>",
+                                              "<http://ex/p>", "\"v\""));
+
+    // Now the checkpoint lands first, then the delete of a bulk-loaded
+    // triple is logged on top of it.
+    ASSERT_TRUE(
+        (*db)->DeleteTriple("m", "<http://ex/s0>", "<http://ex/p>", "\"v\"")
+            .ok());
+    EXPECT_EQ((*db)->generation(), 1u);
+  }
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->recovery_stats().deletes, 1u);
+  EXPECT_EQ((*recovered)->Snapshot()->TotalTripleCount(), 49u);
+  EXPECT_FALSE(*(*recovered)->Snapshot()->IsTriple(
+      "m", "<http://ex/s0>", "<http://ex/p>", "\"v\""));
+}
+
+TEST_F(RedoLogTest, CheckpointNeedsALog) {
+  SnapshotRdfStore store;
+  EXPECT_TRUE(store.Checkpoint().IsNotSupported());
 }
 
 }  // namespace

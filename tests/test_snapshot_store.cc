@@ -31,6 +31,7 @@
 
 #include "query/match.h"
 #include "reference_model.h"
+#include "test_temp_dir.h"
 
 namespace rdfdb::rdf {
 namespace {
@@ -40,16 +41,16 @@ TEST(SnapshotStoreTest, BasicOperationsWork) {
   ASSERT_TRUE(store.CreateRdfModel("m", "mdata", "triple").ok());
   auto triple = store.InsertTriple("m", "gov:a", "gov:p", "gov:b");
   ASSERT_TRUE(triple.ok());
-  EXPECT_TRUE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
-  auto id = store.GetTripleId("m", "gov:a", "gov:p", "gov:b");
+  EXPECT_TRUE(*store.Snapshot()->IsTriple("m", "gov:a", "gov:p", "gov:b"));
+  auto id = store.Snapshot()->GetTripleId("m", "gov:a", "gov:p", "gov:b");
   ASSERT_TRUE(id.ok());
-  auto resolved = store.ResolveTriple(*id);
+  auto resolved = store.Snapshot()->ResolveTriple(*id);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->subject, "gov:a");
   ASSERT_TRUE(store.ReifyTriple("m", *id).ok());
-  EXPECT_TRUE(*store.IsReified("m", "gov:a", "gov:p", "gov:b"));
+  EXPECT_TRUE(*store.Snapshot()->IsReified("m", "gov:a", "gov:p", "gov:b"));
   ASSERT_TRUE(store.DeleteTriple("m", "gov:a", "gov:p", "gov:b").ok());
-  EXPECT_FALSE(*store.IsTriple("m", "gov:a", "gov:p", "gov:b"));
+  EXPECT_FALSE(*store.Snapshot()->IsTriple("m", "gov:a", "gov:p", "gov:b"));
 }
 
 TEST(SnapshotStoreTest, ReadYourWrites) {
@@ -66,7 +67,7 @@ TEST(SnapshotStoreTest, ReadYourWrites) {
     EXPECT_TRUE(*seen) << "write " << i << " not visible after publish";
   }
   ASSERT_TRUE(store.DeleteTriple("m", "gov:s0", "gov:p", "gov:o").ok());
-  EXPECT_FALSE(*store.IsTriple("m", "gov:s0", "gov:p", "gov:o"));
+  EXPECT_FALSE(*store.Snapshot()->IsTriple("m", "gov:s0", "gov:p", "gov:o"));
 }
 
 TEST(SnapshotStoreTest, ErrorTextsMirrorRdfStore) {
@@ -297,7 +298,7 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
         break;
       }
       case 3: {  // reify (when the triple exists)
-        auto id_a = snapshot_store.GetTripleId(model, s, p, o);
+        auto id_a = snapshot_store.Snapshot()->GetTripleId(model, s, p, o);
         auto id_b = reference.GetTripleId(model, s, p, o);
         ASSERT_EQ(id_a.ok(), id_b.ok()) << "step " << step;
         if (id_a.ok()) {
@@ -334,20 +335,16 @@ TEST(SnapshotStoreTest, RandomizedDifferentialAgainstReferenceModel) {
                              pick(universe.objects)});
     }
     auto snap = snapshot_store.Snapshot();
-    ASSERT_TRUE(snapshot_store
-                    .Apply([&](RdfStore& live) {
-                      check_point_reads(live, "live", probes, step);
-                    })
-                    .ok());
+    snapshot_store.Apply([&](const RdfStore& live) {
+      check_point_reads(live, "live", probes, step);
+    });
     check_point_reads(snap.view(), "pinned", probes, step);
 
     if (step % 25 == 0) {
       for (const std::string& m : models) {
-        ASSERT_TRUE(snapshot_store
-                        .Apply([&](RdfStore& live) {
-                          check_model_reads(live, "live", m, step);
-                        })
-                        .ok());
+        snapshot_store.Apply([&](const RdfStore& live) {
+          check_model_reads(live, "live", m, step);
+        });
         check_model_reads(snap.view(), "pinned", m, step);
       }
     }
@@ -457,11 +454,14 @@ TEST(SnapshotStoreTest, WatermarkVisibilityAcrossThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-void HammerReadersOneWriter(int reader_threads) {
-  SnapshotRdfStore store;
+/// `checkpoint_at` > 0 checkpoints the (logged) store after that many
+/// writes, with the readers still running.
+void HammerReadersOneWriter(SnapshotRdfStore& store, int reader_threads,
+                            int checkpoint_at = 0) {
   ASSERT_TRUE(store.CreateRdfModel("m", "mdata", "triple").ok());
   ASSERT_TRUE(store.InsertTriple("m", "gov:anchor", "gov:p", "gov:o").ok());
-  auto anchor_id = store.GetTripleId("m", "gov:anchor", "gov:p", "gov:o");
+  auto anchor_id =
+      store.Snapshot()->GetTripleId("m", "gov:anchor", "gov:p", "gov:o");
   ASSERT_TRUE(anchor_id.ok());
   ASSERT_TRUE(store.ReifyTriple("m", *anchor_id).ok());
 
@@ -497,6 +497,9 @@ void HammerReadersOneWriter(int reader_threads) {
           !store.DeleteTriple("m", subject, "gov:p", "gov:o").ok()) {
         failures.fetch_add(1);
       }
+      if (i + 1 == checkpoint_at && !store.Checkpoint().ok()) {
+        failures.fetch_add(1);
+      }
     }
     stop.store(true, std::memory_order_release);
   });
@@ -507,12 +510,12 @@ void HammerReadersOneWriter(int reader_threads) {
 
   // Post-condition on a final snapshot: anchor + its streamlined
   // reification row + 400 writes - 134 deletes (i % 3 == 0 in [0, 400)).
-  auto stats = store.GetModelStats("m");
+  auto stats = store.Snapshot()->GetModelStats("m");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->triples, 1u + 1u + 400u - 134u);
   // The live store's tables, NDM network and quad caches still agree.
   Status consistent =
-      store.Apply([](RdfStore& live) { return live.CheckConsistency(); });
+      store.Apply([](const RdfStore& live) { return live.CheckConsistency(); });
   EXPECT_TRUE(consistent.ok()) << consistent.ToString();
 
   // Every pin is released; one more publish sweeps the retire list dry.
@@ -520,9 +523,36 @@ void HammerReadersOneWriter(int reader_threads) {
   EXPECT_EQ(store.RetiredOutstanding(), 0u);
 }
 
-TEST(SnapshotStoreTest, Stress1Reader) { HammerReadersOneWriter(1); }
-TEST(SnapshotStoreTest, Stress2Readers) { HammerReadersOneWriter(2); }
-TEST(SnapshotStoreTest, Stress8Readers) { HammerReadersOneWriter(8); }
+TEST(SnapshotStoreTest, Stress1Reader) {
+  SnapshotRdfStore store;
+  HammerReadersOneWriter(store, 1);
+}
+TEST(SnapshotStoreTest, Stress2Readers) {
+  SnapshotRdfStore store;
+  HammerReadersOneWriter(store, 2);
+}
+TEST(SnapshotStoreTest, Stress8Readers) {
+  SnapshotRdfStore store;
+  HammerReadersOneWriter(store, 8);
+}
+
+// The logged store appends and checkpoints under the writer lock while
+// readers keep pinning versions; the log then replays to the same state.
+TEST(SnapshotStoreTest, Stress4ReadersLogged) {
+  test::TestTempDir temp;
+  const std::string base = temp.Path("store");
+  {
+    auto store = SnapshotRdfStore::Open(base, base + ".log");
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    HammerReadersOneWriter(**store, 4, /*checkpoint_at=*/200);
+    EXPECT_EQ((*store)->generation(), 1u);
+  }
+  auto reopened = SnapshotRdfStore::Open(base, base + ".log");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto stats = (*reopened)->Snapshot()->GetModelStats("m");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->triples, 1u + 1u + 400u - 134u + 1u);
+}
 
 TEST(SnapshotStoreTest, ApplyBatchPublishesOnce) {
   SnapshotRdfStore store;
@@ -538,9 +568,27 @@ TEST(SnapshotStoreTest, ApplyBatchPublishesOnce) {
   });
   ASSERT_TRUE(batched.ok());
   EXPECT_EQ(store.PublishedVersions(), before + 1);
-  auto stats = store.GetModelStats("m");
+  auto stats = store.Snapshot()->GetModelStats("m");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->triples, 100u);
+}
+
+TEST(SnapshotStoreTest, ReadOnlyApplyDoesNotPublish) {
+  SnapshotRdfStore store;
+  ASSERT_TRUE(store.CreateRdfModel("m", "mdata", "triple").ok());
+  ASSERT_TRUE(store.InsertTriple("m", "gov:a", "gov:p", "gov:b").ok());
+  const uint64_t before = store.PublishedVersions();
+  const uint64_t sequence = store.Snapshot()->sequence();
+  auto found = store.Apply([](const RdfStore& live) {
+    return live.IsTriple("m", "gov:a", "gov:p", "gov:b");
+  });
+  ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(*found);
+  EXPECT_TRUE(
+      store.Apply([](const RdfStore& live) { return live.CheckConsistency(); })
+          .ok());
+  EXPECT_EQ(store.PublishedVersions(), before);
+  EXPECT_EQ(store.Snapshot()->sequence(), sequence);
 }
 
 TEST(SnapshotStoreTest, PublishMetricsAreRecorded) {

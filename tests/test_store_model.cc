@@ -1,7 +1,7 @@
 // Randomized model-based test of the whole store API.
 //
-// A seeded stream of operations drives a LoggedRdfStore and the
-// brute-force reference model (reference_model.h) side by side: model
+// A seeded stream of operations drives a logged SnapshotRdfStore and
+// the brute-force reference model (reference_model.h) side by side: model
 // create and drop, insert, delete, ReifyTriple, AssertAboutTriple,
 // AssertImplied, Checkpoint, and reopen (which loads the last
 // checkpoint and replays the redo log). Every operation must have the
@@ -9,7 +9,9 @@
 // checkpoint and reopen, and every few operations in between, the
 // whole state must agree too: each model's triples with their
 // reference counts, contexts and LINK_IDs, the model statistics, the
-// NDM network, point reads, and SDO_RDF_MATCH over random patterns.
+// NDM network, point reads, and SDO_RDF_MATCH over random patterns, on
+// the live store and (after each reopen, and for every point read and
+// match) on the published version readers pin.
 // Now and then a mutation gets a term no parser accepts; a call that
 // fails must leave both sides unchanged, also across a reopen.
 
@@ -26,7 +28,7 @@
 #include "common/string_util.h"
 #include "ndm/network.h"
 #include "query/match.h"
-#include "rdf/redo_log.h"
+#include "rdf/snapshot_store.h"
 #include "reference_model.h"
 #include "test_temp_dir.h"
 
@@ -72,7 +74,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     store_.reset();
     LoggedStoreOptions options;
     options.sync_mode = SyncMode::kNone;  // clean reopen; no crash here
-    auto opened = LoggedRdfStore::Open(snapshot_path_, log_path_, options);
+    auto opened = SnapshotRdfStore::Open(snapshot_path_, log_path_, options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     store_ = std::move(*opened);
   }
@@ -113,9 +115,9 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     return got.status();
   }
 
-  std::vector<TripleRow> StoreRows(ModelId model_id) {
+  static std::vector<TripleRow> StoreRows(const RdfStore& store,
+                                          ModelId model_id) {
     std::vector<TripleRow> rows;
-    const RdfStore& store = store_->store();
     store.links().ScanModel(model_id, [&](const LinkRow& row) {
       auto s = store.TermForValueId(row.start_node_id);
       auto p = store.TermForValueId(row.p_value_id);
@@ -159,8 +161,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
 
   /// The store's NDM network must be the reference's live triples: the
   /// same node set, and per node the same out- and in-links.
-  void ExpectSameNetwork() {
-    const RdfStore& store = store_->store();
+  void ExpectSameNetwork(const RdfStore& store) {
     ndm::LogicalNetwork want;
     for (const std::string& model : reference_.ModelNames()) {
       auto model_id = store.GetModelId(model);
@@ -194,35 +195,83 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     }
   }
 
+  /// The model statistics of `view` (live or pinned) for `model`.
+  void ExpectSameStats(const StoreView& view, const std::string& model) {
+    auto stats = view.GetModelStats(model);
+    auto want = reference_.GetModelStats(model);
+    ASSERT_TRUE(stats.ok() && want.ok());
+    EXPECT_EQ(stats->triples, want->triples);
+    EXPECT_EQ(stats->distinct_subjects, want->distinct_subjects);
+    EXPECT_EQ(stats->distinct_predicates, want->distinct_predicates);
+    EXPECT_EQ(stats->distinct_objects, want->distinct_objects);
+    EXPECT_EQ(stats->reified_statements, want->reified_statements);
+    EXPECT_EQ(stats->implied_statements, want->implied_statements);
+  }
+
   /// Whole-state agreement: models, triples (with COST, CONTEXT and
   /// LINK_ID), statistics, the NDM network, and the store's own
   /// invariants.
   void ExpectSameState(const std::string& when) {
     SCOPED_TRACE(when);
-    const RdfStore& store = store_->store();
-    std::vector<std::string> names = store.ModelNames();
-    for (std::string& name : names) name = ToLower(name);
-    ASSERT_EQ(names, reference_.ModelNames());
-    for (const std::string& model : names) {
-      SCOPED_TRACE("model " + model);
-      auto model_id = store.GetModelId(model);
-      auto triples = reference_.Triples(model);
-      ASSERT_TRUE(model_id.ok() && triples.ok());
-      ASSERT_EQ(StoreRows(*model_id), ReferenceRows(**triples));
+    store_->Apply([&](const RdfStore& store) {
+      std::vector<std::string> names = store.ModelNames();
+      for (std::string& name : names) name = ToLower(name);
+      ASSERT_EQ(names, reference_.ModelNames());
+      for (const std::string& model : names) {
+        SCOPED_TRACE("model " + model);
+        auto model_id = store.GetModelId(model);
+        auto triples = reference_.Triples(model);
+        ASSERT_TRUE(model_id.ok() && triples.ok());
+        ASSERT_EQ(StoreRows(store, *model_id), ReferenceRows(**triples));
+        ExpectSameStats(store, model);
+      }
+      ExpectSameNetwork(store);
+      Status consistent = store.CheckConsistency();
+      EXPECT_TRUE(consistent.ok()) << consistent.ToString();
+    });
+  }
 
-      auto stats = store.GetModelStats(model);
-      auto want = reference_.GetModelStats(model);
-      ASSERT_TRUE(stats.ok() && want.ok());
-      EXPECT_EQ(stats->triples, want->triples);
-      EXPECT_EQ(stats->distinct_subjects, want->distinct_subjects);
-      EXPECT_EQ(stats->distinct_predicates, want->distinct_predicates);
-      EXPECT_EQ(stats->distinct_objects, want->distinct_objects);
-      EXPECT_EQ(stats->reified_statements, want->reified_statements);
-      EXPECT_EQ(stats->implied_statements, want->implied_statements);
+  /// The version a reader pins must hold the same models, triples (by
+  /// text and LINK_ID) and statistics.
+  void ExpectSamePinnedState(const std::string& when) {
+    SCOPED_TRACE(when + ", pinned");
+    SnapshotRdfStore::ReadPin pin = store_->Snapshot();
+    for (const std::string& model : kModels) {
+      SCOPED_TRACE("model " + model);
+      auto model_id = pin->GetModelId(model);
+      auto triples = reference_.Triples(model);
+      ASSERT_EQ(model_id.ok(), triples.ok());
+      if (!model_id.ok()) continue;
+      using PinnedRow = std::tuple<std::string, std::string, std::string,
+                                   LinkId>;
+      std::vector<PinnedRow> got, want;
+      if (const LinkStore::ModelIdCache* cache = pin->CacheFor(*model_id)) {
+        LinkStore::Scan(*cache, std::nullopt, std::nullopt, std::nullopt,
+                        nullptr,
+                        [&](uint32_t idx, ValueId s, ValueId p, ValueId o,
+                            ValueId) {
+                          auto st = pin->TermForValueId(s);
+                          auto pt = pin->TermForValueId(p);
+                          auto ot = pin->TermForValueId(o);
+                          EXPECT_TRUE(st.ok() && pt.ok() && ot.ok());
+                          if (st.ok() && pt.ok() && ot.ok()) {
+                            got.emplace_back(st->ToNTriples(),
+                                             pt->ToNTriples(),
+                                             ot->ToNTriples(),
+                                             cache->quads[idx].link_id);
+                          }
+                          return true;
+                        });
+      }
+      for (const RefTriple& t : **triples) {
+        want.emplace_back(t.s.ToNTriples(), t.p.ToNTriples(),
+                          t.o.ToNTriples(), t.link);
+      }
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want);
+      ExpectSameStats(*pin, model);
     }
-    ExpectSameNetwork();
-    Status consistent = store.CheckConsistency();
-    EXPECT_TRUE(consistent.ok()) << consistent.ToString();
   }
 
   /// A mutation that failed on both sides must have changed neither,
@@ -232,6 +281,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     Reopen();
     ASSERT_TRUE(reference_.Recover().ok()) << what;
     ExpectSameState(what + " failed, reopened");
+    ExpectSamePinnedState(what + " failed, reopened");
   }
 
   void ExpectSamePointReads() {
@@ -239,27 +289,31 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     const std::string& s = Pick(kSubjects);
     const std::string& p = Pick(kPredicates);
     const std::string& o = Pick(kObjects);
-    const std::string what = "reads " + model + " " + s + " " + p + " " + o;
-    const RdfStore& store = store_->store();
-
-    auto is_triple = store.IsTriple(model, s, p, o);
-    auto want_triple = reference_.IsTriple(model, s, p, o);
-    ExpectSameStatus(is_triple.status(), want_triple.status(), what);
-    if (is_triple.ok() && want_triple.ok()) {
-      EXPECT_EQ(*is_triple, *want_triple) << what;
-    }
-    auto reified = store.IsReified(model, s, p, o);
-    auto want_reified = reference_.IsReified(model, s, p, o);
-    ExpectSameStatus(reified.status(), want_reified.status(), what);
-    if (reified.ok() && want_reified.ok()) {
-      EXPECT_EQ(*reified, *want_reified) << what;
-    }
-    auto id = store.GetTripleId(model, s, p, o);
-    auto want_id = reference_.GetTripleId(model, s, p, o);
-    ExpectSameStatus(id.status(), want_id.status(), what);
-    if (id.ok() && want_id.ok()) {
-      EXPECT_EQ(*id, *want_id) << what;
-    }
+    // On the live store and on the pinned version.
+    auto check = [&](const StoreView& store, const std::string& arm) {
+      const std::string what =
+          "reads " + model + " " + s + " " + p + " " + o + " " + arm;
+      auto is_triple = store.IsTriple(model, s, p, o);
+      auto want_triple = reference_.IsTriple(model, s, p, o);
+      ExpectSameStatus(is_triple.status(), want_triple.status(), what);
+      if (is_triple.ok() && want_triple.ok()) {
+        EXPECT_EQ(*is_triple, *want_triple) << what;
+      }
+      auto reified = store.IsReified(model, s, p, o);
+      auto want_reified = reference_.IsReified(model, s, p, o);
+      ExpectSameStatus(reified.status(), want_reified.status(), what);
+      if (reified.ok() && want_reified.ok()) {
+        EXPECT_EQ(*reified, *want_reified) << what;
+      }
+      auto id = store.GetTripleId(model, s, p, o);
+      auto want_id = reference_.GetTripleId(model, s, p, o);
+      ExpectSameStatus(id.status(), want_id.status(), what);
+      if (id.ok() && want_id.ok()) {
+        EXPECT_EQ(*id, *want_id) << what;
+      }
+    };
+    store_->Apply([&](const RdfStore& live) { check(live, "live"); });
+    check(*store_->Snapshot(), "pinned");
   }
 
   /// A random 1–2-pattern query over one or two models; the answers
@@ -290,28 +344,35 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
     options.distinct = ref_query.distinct;
     const std::string what = "match " + query;
 
-    auto got = query::SdoRdfMatch(&store_->store(), nullptr, query, models,
-                                  {}, {}, "", options);
     auto want = reference_.Match(ref_query, models);
-    ExpectSameStatus(got.status(), want.status(), what);
-    if (!got.ok() || !want.ok()) return;
-    ASSERT_EQ(got->columns(), want->columns) << what;
-    std::vector<std::string> got_rows, want_rows;
-    for (size_t r = 0; r < got->row_count(); ++r) {
-      std::string row;
-      for (size_t c = 0; c < got->columns().size(); ++c) {
-        row += got->at(r, c).ToNTriples() + "\t";
+    std::vector<std::string> want_rows;
+    if (want.ok()) {
+      for (const auto& terms : want->rows) {
+        std::string row;
+        for (const Term& term : terms) row += term.ToNTriples() + "\t";
+        want_rows.push_back(std::move(row));
       }
-      got_rows.push_back(std::move(row));
+      std::sort(want_rows.begin(), want_rows.end());
     }
-    for (const auto& terms : want->rows) {
-      std::string row;
-      for (const Term& term : terms) row += term.ToNTriples() + "\t";
-      want_rows.push_back(std::move(row));
-    }
-    std::sort(got_rows.begin(), got_rows.end());
-    std::sort(want_rows.begin(), want_rows.end());
-    EXPECT_EQ(got_rows, want_rows) << what;
+    // The live store and the pinned version must both give the answer.
+    auto check = [&](const StoreView& view, const std::string& arm) {
+      auto got = query::SdoRdfMatch(view, query, models, {}, "", options);
+      ExpectSameStatus(got.status(), want.status(), what + " " + arm);
+      if (!got.ok() || !want.ok()) return;
+      ASSERT_EQ(got->columns(), want->columns) << what << " " << arm;
+      std::vector<std::string> got_rows;
+      for (size_t r = 0; r < got->row_count(); ++r) {
+        std::string row;
+        for (size_t c = 0; c < got->columns().size(); ++c) {
+          row += got->at(r, c).ToNTriples() + "\t";
+        }
+        got_rows.push_back(std::move(row));
+      }
+      std::sort(got_rows.begin(), got_rows.end());
+      EXPECT_EQ(got_rows, want_rows) << what << " " << arm;
+    };
+    store_->Apply([&](const RdfStore& live) { check(live, "live"); });
+    check(*store_->Snapshot(), "pinned");
   }
 
   /// One random operation against both sides.
@@ -375,6 +436,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
       Reopen();
       ASSERT_TRUE(reference_.Recover().ok()) << what;
       ExpectSameState(what + " after reopen");
+      ExpectSamePinnedState(what + " after reopen");
     } else if (roll < 94) {
       ExpectSameMatch();
     } else {
@@ -386,7 +448,7 @@ class StoreModelTest : public ::testing::TestWithParam<uint64_t> {
   test::TestTempDir temp_;
   std::string snapshot_path_;
   std::string log_path_;
-  std::unique_ptr<LoggedRdfStore> store_;
+  std::unique_ptr<SnapshotRdfStore> store_;
   ReferenceStore reference_;
   std::mt19937_64 rng_;
 };
@@ -408,6 +470,7 @@ TEST_P(StoreModelTest, RandomOperationsMatchReferenceModel) {
   Reopen();
   ASSERT_TRUE(reference_.Recover().ok());
   ExpectSameState("final reopen");
+  ExpectSamePinnedState("final reopen");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreModelTest,

@@ -4,7 +4,7 @@
 //   rdfdb_serve [--port <n>] [--workers <n>] [--queue <n>]
 //               [--max-deadline-ms <n>] [--default-deadline-ms <n>]
 //               [--query-threads <n>] [--events <path>]
-//               [--blackbox <path>] [--triples <n>]
+//               [--blackbox <path>] [--triples <n>] [--data <dir>]
 //               [file.nt [model_name]]
 //
 // Loads the N-Triples file (or a synthetic UniProt-style dataset of
@@ -23,6 +23,12 @@
 // with 503 + Retry-After. SIGTERM/SIGINT drains gracefully: stop
 // accepting, finish admitted requests within their deadlines, flush
 // the event log, exit 0.
+//
+// With --data the store is durable: the checkpoint and redo log in
+// <dir> recover what earlier runs acknowledged (each /insert statement
+// and /reify is logged and fdatasync'd before the response; a crash
+// mid-/insert may keep a prefix of it), and a drain checkpoints. The
+// load above runs only into a <dir> with no store yet, all or nothing.
 
 #include <atomic>
 #include <chrono>
@@ -30,6 +36,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,6 +69,7 @@ int main(int argc, char** argv) {
   std::string events_path;
   std::string blackbox_path;
   size_t target_triples = 10000;
+  std::string data_dir;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
@@ -83,6 +92,8 @@ int main(int argc, char** argv) {
       blackbox_path = argv[++i];
     } else if (std::strcmp(argv[i], "--triples") == 0 && i + 1 < argc) {
       target_triples = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--data") == 0 && i + 1 < argc) {
+      data_dir = argv[++i];
     } else {
       args.push_back(argv[i]);
     }
@@ -104,39 +115,69 @@ int main(int argc, char** argv) {
   rdfdb::obs::SlowQueryLog slow_queries(int64_t{1000000});  // 1 ms
   rdfdb::obs::Timeline timeline;
 
-  rdfdb::rdf::SnapshotRdfStore store;
-  store.SetObservability(event_log->get(), &slow_queries, &timeline);
-
   const std::string model = args.size() > 1 ? args[1] : "m";
-  auto created = store.CreateRdfModel(model, model + "_app", "triple");
-  if (!created.ok()) {
-    std::fprintf(stderr, "create model: %s\n",
-                 created.status().ToString().c_str());
-    return 1;
-  }
-  auto load = [&]() -> rdfdb::Result<rdfdb::rdf::BulkLoadStats> {
-    rdfdb::Result<rdfdb::rdf::BulkLoadStats> out =
+  auto import = [&](rdfdb::rdf::RdfStore& live)
+      -> rdfdb::Result<rdfdb::rdf::BulkLoadStats> {
+    RDFDB_RETURN_NOT_OK(
+        live.CreateRdfModel(model, model + "_app", "triple").status());
+    rdfdb::Result<rdfdb::rdf::BulkLoadStats> loaded =
         rdfdb::rdf::BulkLoadStats{};
-    rdfdb::Status applied =
-        store.Apply([&](rdfdb::rdf::RdfStore& live) -> rdfdb::Status {
-          if (!args.empty()) {
-            out = rdfdb::rdf::BulkLoadFile(&live, model, args[0]);
-          } else {
-            rdfdb::gen::UniProtOptions gen_options;
-            gen_options.target_triples = target_triples;
-            auto dataset = rdfdb::gen::GenerateUniProt(gen_options);
-            out = rdfdb::rdf::BulkLoad(&live, model, dataset.triples);
-          }
-          return out.status();
-        });
-    if (!applied.ok()) return applied;
-    return out;
-  }();
-  if (!load.ok()) {
-    std::fprintf(stderr, "load: %s\n", load.status().ToString().c_str());
-    return 1;
+    if (!args.empty()) {
+      loaded = rdfdb::rdf::BulkLoadFile(&live, model, args[0]);
+    } else {
+      rdfdb::gen::UniProtOptions gen_options;
+      gen_options.target_triples = target_triples;
+      loaded = rdfdb::rdf::BulkLoad(
+          &live, model, rdfdb::gen::GenerateUniProt(gen_options).triples);
+    }
+    if (loaded.ok()) std::fprintf(stderr, "%s\n", loaded->ToString().c_str());
+    return loaded;
+  };
+
+  std::unique_ptr<rdfdb::rdf::SnapshotRdfStore> opened;
+  if (data_dir.empty()) {
+    opened = std::make_unique<rdfdb::rdf::SnapshotRdfStore>();
+  } else {
+    std::error_code ignored;  // Open reports a directory it cannot use
+    std::filesystem::create_directories(data_dir, ignored);
+    // Into a directory with no store yet, import into a store no log
+    // has seen and save it whole (tmp + rename) as the first snapshot:
+    // an import that fails or is killed leaves nothing and runs again.
+    const std::string snapshot_path = data_dir + "/store";
+    if (!std::filesystem::exists(snapshot_path) &&
+        !std::filesystem::exists(
+            rdfdb::rdf::SnapshotRdfStore::ManifestPath(snapshot_path))) {
+      rdfdb::rdf::RdfStore fresh;
+      auto loaded = import(fresh);
+      rdfdb::Status saved =
+          loaded.ok() ? fresh.Save(snapshot_path) : loaded.status();
+      if (!saved.ok()) {
+        std::fprintf(stderr, "load: %s\n", saved.ToString().c_str());
+        return 1;
+      }
+    }
+    auto recovered = rdfdb::rdf::SnapshotRdfStore::Open(
+        snapshot_path, data_dir + "/store.log");
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "open %s: %s\n", data_dir.c_str(),
+                   recovered.status().ToString().c_str());
+      return 1;
+    }
+    opened = std::move(*recovered);
+    std::fprintf(stderr, "recovered %s: generation %llu, %s\n",
+                 data_dir.c_str(),
+                 static_cast<unsigned long long>(opened->generation()),
+                 opened->recovery_stats().ToString().c_str());
   }
-  std::fprintf(stderr, "%s\n", load->ToString().c_str());
+  rdfdb::rdf::SnapshotRdfStore& store = *opened;
+  store.SetObservability(event_log->get(), &slow_queries, &timeline);
+  if (data_dir.empty()) {
+    auto loaded = store.Apply(import);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+  }
 
   // Flight recorder over the same registry the server's metrics
   // register into, so rdfdb_server_* history shows up in /historyz.
@@ -184,6 +225,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "draining...\n");
   server.Shutdown();
+  if (!data_dir.empty()) {
+    rdfdb::Status checkpointed = store.Checkpoint();
+    if (!checkpointed.ok()) {
+      std::fprintf(stderr, "checkpoint: %s\n",
+                   checkpointed.ToString().c_str());
+      return 1;
+    }
+  }
   std::fprintf(stderr, "drained; exiting\n");
   return 0;
 }

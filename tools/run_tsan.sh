@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer job for the concurrency-sensitive targets: the
 # pipelined bulk loader, the snapshot store (epoch-pinned lock-free
-# readers vs the publishing writer, hammered at several reader counts),
+# readers vs the publishing writer, hammered at several reader counts,
+# with and without a redo log),
 # the metrics instruments (relaxed-atomic counters hammered from many
 # threads while the registry renders), the parallel join executor's
 # differential tests (which exercise the chunked worker/consumer
@@ -26,7 +27,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   test_metrics test_codec \
   test_exec_diff test_event_log test_span_timeline test_slow_query_log \
   test_resource_tracker test_profiler test_memory_accounting \
-  test_flight_recorder test_cancel test_server
+  test_flight_recorder test_cancel test_server test_serve_crash
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_bulk_load
@@ -51,8 +52,12 @@ TSAN_OPTIONS="report_signal_unsafe=0 $TSAN_OPTIONS" \
 # The serving path end to end: cooperative cancellation racing the
 # parallel executor's worker/consumer pipeline (test_cancel) and the
 # acceptor/admission-queue/worker-pool/watcher threads of the network
-# front-end, including mid-flight SIGTERM drain (test_server).
+# front-end, including mid-flight SIGTERM drain (test_server), and a
+# durable rdfdb_serve --data (built with TSan too) whose workers append
+# to the redo log and checkpoint under the store's writer lock
+# (test_serve_crash).
 "$BUILD_DIR"/tests/test_cancel
 "$BUILD_DIR"/tests/test_server
+"$BUILD_DIR"/tests/test_serve_crash
 
 echo "TSan run clean."
