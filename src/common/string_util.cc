@@ -3,8 +3,46 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace rdfdb {
+
+namespace {
+
+/// High bit of every byte of `x` that is zero (exact for the first such
+/// byte, which is all FindEscapable needs).
+constexpr uint64_t ZeroBytes(uint64_t x) {
+  return (x - 0x0101010101010101ULL) & ~x & 0x8080808080808080ULL;
+}
+
+/// Does the 8-byte word at `p` hold a byte below 0x20, a '"' or a '\\'?
+/// (Each test is exact about whether the word holds such a byte.)
+bool WordHasEscapable(const char* p) {
+  uint64_t x;
+  std::memcpy(&x, p, 8);
+  return (((x - 0x2020202020202020ULL) & ~x & 0x8080808080808080ULL) |
+          ZeroBytes(x ^ 0x2222222222222222ULL) |
+          ZeroBytes(x ^ 0x5c5c5c5c5c5c5c5cULL)) != 0;
+}
+
+bool IsEscapable(char c) {
+  return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+}
+
+}  // namespace
+
+size_t FindEscapable(std::string_view s, size_t from) {
+  size_t i = from;
+  while (i + 8 <= s.size() && !WordHasEscapable(s.data() + i)) i += 8;
+  // Fewer than 8 bytes left and the text is long enough: the last whole
+  // word (overlapping bytes already cleared) settles it in one test.
+  if (i + 8 > s.size() && s.size() - from >= 8 &&
+      !WordHasEscapable(s.data() + s.size() - 8)) {
+    return s.size();
+  }
+  while (i < s.size() && !IsEscapable(s[i])) ++i;
+  return i;
+}
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;

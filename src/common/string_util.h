@@ -34,6 +34,13 @@ std::string ToLower(std::string_view s);
 /// ASCII upper-case copy.
 std::string ToUpper(std::string_view s);
 
+/// Position of the first byte at or after `from` (at most s.size())
+/// that is a control character (< 0x20), '"' or '\\' — every byte a
+/// JSON string escapes, and a superset of those an N-Triples literal
+/// escapes — or s.size() when there is none. Tests eight bytes per
+/// step, so text that needs no escape is passed over quickly.
+size_t FindEscapable(std::string_view s, size_t from = 0);
+
 /// Parse a signed decimal integer; returns false on any non-numeric input.
 bool ParseInt64(std::string_view s, int64_t* out);
 

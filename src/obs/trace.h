@@ -52,7 +52,9 @@ struct QueryTrace {
   // Dictionary traffic.
   size_t value_lookups = 0;        ///< constant-term rdf_value$ probes
   size_t value_lookup_misses = 0;  ///< probes that found nothing
-  size_t value_resolutions = 0;    ///< ids materialised back to Terms
+  /// ids handed back to be materialised as text: filter operands, and
+  /// one per result cell (results stay ids; their reader resolves them).
+  size_t value_resolutions = 0;
 
   // Row shaping.
   size_t filter_evaluations = 0;
@@ -80,7 +82,10 @@ struct QueryTrace {
   uint64_t allocations = 0;
 
   // Stage wall times (ns). exec_ns covers the join loop including
-  // filtering and emission, so resolve_ns overlaps it.
+  // filtering and emission. resolve_ns is the time the match spends
+  // turning result ids into terms, which is none: results stay ids
+  // (query/match.h) and their reader renders them, so it reads 0 and
+  // the rendering shows up in the caller (the server's /query body).
   int64_t parse_ns = 0;
   int64_t plan_ns = 0;
   int64_t infer_ns = 0;

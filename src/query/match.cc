@@ -1,7 +1,6 @@
 #include "query/match.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -17,18 +16,37 @@ namespace rdfdb::query {
 
 namespace {
 
-/// Hash for a row of bound VALUE_IDs (the DISTINCT key).
-struct IdRowHash {
-  size_t operator()(const std::vector<rdf::ValueId>& row) const {
+/// DISTINCT's seen-set holds row numbers of the result's flat id
+/// block; these functors read the rows where they lie. A candidate row
+/// is appended to the block first and popped again if seen, so no row
+/// is copied into a key.
+struct RowHash {
+  const std::vector<rdf::ValueId>* ids;
+  size_t width;
+  size_t operator()(size_t row) const {
     uint64_t h = 0;
-    for (rdf::ValueId id : row) {
-      h = HashCombine(h, static_cast<uint64_t>(id));
+    for (size_t c = 0; c < width; ++c) {
+      h = HashCombine(h, static_cast<uint64_t>((*ids)[row * width + c]));
     }
     return static_cast<size_t>(h);
   }
 };
 
+struct RowEq {
+  const std::vector<rdf::ValueId>* ids;
+  size_t width;
+  bool operator()(size_t a, size_t b) const {
+    return std::equal(ids->begin() + a * width, ids->begin() + (a + 1) * width,
+                      ids->begin() + b * width);
+  }
+};
+
 }  // namespace
+
+rdf::Term MatchResult::at(size_t row, size_t col) const {
+  Result<rdf::Term> term = view_->TermForValueId(id(row, col));
+  return term.ok() ? std::move(term).value() : rdf::Term();
+}
 
 int MatchResult::ColumnIndex(const std::string& name) const {
   if (column_index_.size() != columns_.size()) {
@@ -43,8 +61,8 @@ int MatchResult::ColumnIndex(const std::string& name) const {
 
 std::string MatchResult::Get(size_t row, const std::string& name) const {
   int col = ColumnIndex(name);
-  if (col < 0 || row >= rows_.size()) return "";
-  return rows_[row][static_cast<size_t>(col)].ToDisplayString();
+  if (col < 0 || row >= rows_) return "";
+  return at(row, static_cast<size_t>(col)).ToDisplayString();
 }
 
 std::string MatchResult::ToString() const {
@@ -54,10 +72,10 @@ std::string MatchResult::ToString() const {
     out += "?" + columns_[i];
   }
   out += "\n";
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += "\t";
-      out += row[i].ToDisplayString();
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (c > 0) out += "\t";
+      out += at(r, c).ToDisplayString();
     }
     out += "\n";
   }
@@ -189,54 +207,25 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
     }
   }
 
-  std::vector<std::vector<rdf::Term>>& rows = *MatchBuilder::rows(&result);
-  // DISTINCT dedupes on the bound VALUE_ID tuple, before any term
-  // resolution: the central rdf_value$ store already dedupes terms, so
-  // equal rows have equal id tuples, and duplicates skip the per-column
-  // TermForValueId lookups entirely.
-  std::unordered_set<std::vector<rdf::ValueId>, IdRowHash> seen;
-
-  // Row sink over the projected VALUE_IDs: DISTINCT, LIMIT and term
-  // resolution.
-  auto emit_row = [&](const rdf::ValueId* ids) {
-    if (options.distinct) {
-      std::vector<rdf::ValueId> key(ids, ids + columns.size());
-      if (!seen.insert(std::move(key)).second) {
-        if (trace != nullptr) ++trace->distinct_drops;
-        return true;  // duplicate
-      }
-    }
-    // resolve_ns overlaps exec_ns: the timer only runs when traced, so
-    // the untraced path pays no clock reads per row.
-    std::optional<Timer> resolve_timer;
-    if (trace != nullptr) resolve_timer.emplace();
-    std::vector<rdf::Term> row;
-    row.reserve(columns.size());
-    for (size_t i = 0; i < columns.size(); ++i) {
-      auto term = store.TermForValueId(ids[i]);
-      if (!term.ok()) return false;
-      row.push_back(std::move(term).value());
-    }
-    if (trace != nullptr) {
-      trace->resolve_ns += resolve_timer->ElapsedNanos();
-      trace->value_resolutions += columns.size();
-    }
-    rows.push_back(std::move(row));
-    return options.limit == 0 || rows.size() < options.limit;
-  };
+  // Rows stay VALUE_IDs, resolved by the reader through the view.
+  // DISTINCT dedupes on the id tuple: the central rdf_value$ store
+  // already dedupes terms, so equal rows have equal id tuples.
+  MatchBuilder::set_view(&result, &store);
+  std::vector<rdf::ValueId>& ids = *MatchBuilder::ids(&result);
+  size_t& rows = *MatchBuilder::rows(&result);
+  const size_t width = columns.size();
+  std::unordered_set<size_t, RowHash, RowEq> seen(
+      0, RowHash{&ids, width}, RowEq{&ids, width});
 
   Status status;
   {
     obs::ScopedSpan exec_span(trace != nullptr ? &trace->exec_ns : nullptr);
-    std::vector<rdf::ValueId> ids(columns.size());
-    // Project straight out of the executor's slot frame — no
-    // per-solution binding map.
     const FilterExpr* f = compiled_filter.get();
     if (f != nullptr && f->IsAlwaysTrue()) f = nullptr;
     CompiledPlan plan = CompilePatterns(store, patterns, f, source,
                                         /*reorder_patterns=*/true, trace);
     std::vector<SlotIndex> col_slots;
-    col_slots.reserve(columns.size());
+    col_slots.reserve(width);
     for (const std::string& var : columns) {
       col_slots.push_back(plan.SlotOf(var));
     }
@@ -246,20 +235,28 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
     exec_options.trace = trace;
     exec_options.timeline = store.timeline();
     exec_options.cancel = options.cancel;
+    // Row sink: project straight out of the executor's slot frame onto
+    // the flat block, then DISTINCT (take the row back off if seen) and
+    // LIMIT.
     status = ExecutePlan(
         store, plan, source,
         [&](const rdf::ValueId* slots) {
-          for (size_t i = 0; i < columns.size(); ++i) {
-            ids[i] = slots[col_slots[i]];
+          for (SlotIndex slot : col_slots) ids.push_back(slots[slot]);
+          if (options.distinct && !seen.insert(rows).second) {
+            ids.resize(ids.size() - width);
+            if (trace != nullptr) ++trace->distinct_drops;
+            return true;  // duplicate
           }
-          return emit_row(ids.data());
+          ++rows;
+          if (trace != nullptr) trace->value_resolutions += width;
+          return options.limit == 0 || rows < options.limit;
         },
         exec_options);
   }
   RDFDB_RETURN_NOT_OK(status);
   const obs::ResourceUsage query_usage = query_scope.Usage();
   if (trace != nullptr) {
-    trace->rows_emitted = rows.size();
+    trace->rows_emitted = rows;
     trace->cpu_ns += query_usage.cpu_ns;
     trace->bytes_allocated += query_usage.bytes_allocated;
     trace->allocations += query_usage.allocations;
@@ -267,7 +264,7 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
   }
   if (metrics != nullptr) {
     metrics->queries->Inc();
-    metrics->query_rows->Inc(rows.size());
+    metrics->query_rows->Inc(rows);
     metrics->query_ns->Observe(total_timer.ElapsedNanos());
     // With a trace the totals include worker-thread deltas; without one
     // the calling thread's scope is still exact for sequential queries.
@@ -289,7 +286,7 @@ Result<MatchResult> MatchImpl(const rdf::StoreView& store,
       if (i > 0) entry.models += ",";
       entry.models += model_names[i];
     }
-    entry.rows = rows.size();
+    entry.rows = rows;
     entry.total_ns = trace->total_ns;
     entry.trace = *trace;
     entry.concurrent = obs::ActiveOpsSummaryExcluding(active_op.id());

@@ -27,16 +27,37 @@
 namespace rdfdb::query {
 
 /// Result table: one column per distinct query variable (in order of
-/// first appearance), one row per solution.
+/// first appearance), one row per solution. Cells stay VALUE_IDs — a
+/// flat row-major block — until someone asks for text, as the paper's
+/// object types keep ids and resolve them only in GET_SUBJECT() and
+/// friends.
+///
+/// Lifetime: the result borrows the StoreView it was computed on (the
+/// live RdfStore, or a pinned StoreVersion) and resolves cells through
+/// it. at(), Get(), ToString() and view() must only be used while that
+/// store — for a snapshot read, the ReadPin — is alive; a result read
+/// after its pin is released touches a freed version. A result of the
+/// live store reads its rdf_value$ rows at every resolution, so it must
+/// be read under the same writer lock it was computed under (inside the
+/// same SnapshotRdfStore::Apply); a later writer may append to those
+/// rows. id(), row_count() and columns() need no view.
 class MatchResult {
  public:
   const std::vector<std::string>& columns() const { return columns_; }
-  size_t row_count() const { return rows_.size(); }
+  size_t row_count() const { return rows_; }
 
-  /// Term at (row, column index).
-  const rdf::Term& at(size_t row, size_t col) const {
-    return rows_[row][col];
+  /// VALUE_ID at (row, column index).
+  rdf::ValueId id(size_t row, size_t col) const {
+    return ids_[row * columns_.size() + col];
   }
+
+  /// Term at (row, column index), resolved through the view. Every id
+  /// of a result resolves in the view that produced it; an id that does
+  /// not (a result used past its lifetime rule) yields an empty Term.
+  rdf::Term at(size_t row, size_t col) const;
+
+  /// The store the ids resolve in (see the lifetime rule above).
+  const rdf::StoreView* view() const { return view_; }
 
   /// Column position by variable name; -1 if absent. Memoized: the
   /// first call after the columns change builds a name→index map, so
@@ -52,7 +73,11 @@ class MatchResult {
  private:
   friend class MatchBuilder;
   std::vector<std::string> columns_;
-  std::vector<std::vector<rdf::Term>> rows_;
+  /// Row-major cells: row r occupies [r * columns, (r + 1) * columns).
+  std::vector<rdf::ValueId> ids_;
+  /// Rows held (kept apart from ids_ so zero-column results count).
+  size_t rows_ = 0;
+  const rdf::StoreView* view_ = nullptr;
   /// Lazy name→index cache; rebuilt when its size disagrees with
   /// columns_ (column names are unique, so size is a reliable check).
   mutable std::unordered_map<std::string, int> column_index_;
@@ -64,8 +89,10 @@ class MatchBuilder {
   static std::vector<std::string>* columns(MatchResult* r) {
     return &r->columns_;
   }
-  static std::vector<std::vector<rdf::Term>>* rows(MatchResult* r) {
-    return &r->rows_;
+  static std::vector<rdf::ValueId>* ids(MatchResult* r) { return &r->ids_; }
+  static size_t* rows(MatchResult* r) { return &r->rows_; }
+  static void set_view(MatchResult* r, const rdf::StoreView* view) {
+    r->view_ = view;
   }
 };
 

@@ -1,5 +1,7 @@
 #include "rdf/codec.h"
 
+#include <cstring>
+
 namespace rdfdb::rdf::codec {
 
 std::vector<uint32_t> PostingList::ToVector() const {
@@ -25,23 +27,38 @@ void FrontCodedPack::AppendTo(uint32_t idx, std::string* out) const {
   p = GetVarint32(p, &head_len);
   const char* head = reinterpret_cast<const char*>(p);
   p += head_len;
-  if (within == 0) {
-    out->append(head, head_len);
-    return;
-  }
-  // Reconstruct members 1..within by splicing suffixes onto the
-  // running string. Only the target's prefix matters, so members
-  // before it build into a scratch buffer.
-  std::string cur(head, head_len);
+  // Member i is member i-1's first `shared` bytes plus its own suffix.
+  // Walk the block's headers up to the target, then write the target
+  // in place on the tail of *out, back to front: its suffix, the part
+  // of each earlier suffix that survives into it, and finally the head.
+  // Every byte is written once and no scratch string is built.
+  struct Piece {
+    uint32_t shared;
+    uint32_t len;
+    const char* bytes;
+  };
+  Piece pieces[kBlockSize] = {};
   for (uint32_t i = 1; i <= within; ++i) {
-    uint32_t shared, suffix_len;
-    p = GetVarint32(p, &shared);
-    p = GetVarint32(p, &suffix_len);
-    cur.resize(shared);
-    cur.append(reinterpret_cast<const char*>(p), suffix_len);
-    p += suffix_len;
+    p = GetVarint32(p, &pieces[i].shared);
+    p = GetVarint32(p, &pieces[i].len);
+    pieces[i].bytes = reinterpret_cast<const char*>(p);
+    p += pieces[i].len;
   }
-  out->append(cur);
+  size_t need = within == 0 ? head_len
+                            : size_t{pieces[within].shared} + pieces[within].len;
+  const size_t base = out->size();
+  out->resize(base + need);
+  char* dst = out->data() + base;
+  for (uint32_t i = within; i >= 1; --i) {
+    // Invariant: dst[0, need) is still to be written and equals the
+    // first `need` bytes of member i.
+    if (pieces[i].shared < need) {
+      std::memcpy(dst + pieces[i].shared, pieces[i].bytes,
+                  need - pieces[i].shared);
+      need = pieces[i].shared;
+    }
+  }
+  std::memcpy(dst, head, need);
 }
 
 uint32_t FrontCodedPackBuilder::Add(std::string_view s) {

@@ -234,7 +234,8 @@ class FrontCodedPack {
   /// Materialize string `idx` (walks its block from the head).
   std::string Get(uint32_t idx) const;
 
-  /// Append string `idx` to `*out` (saves an allocation in loops).
+  /// Append string `idx` to `*out`, assembled in place on its tail
+  /// (each byte copied once): no allocation beyond out's own growth.
   void AppendTo(uint32_t idx, std::string* out) const;
 
   /// Actual heap bytes owned (vector capacities).

@@ -145,6 +145,9 @@ class RdfStore : public StoreView {
   Result<Term> TermForValueId(ValueId value_id) const override {
     return values_->GetTerm(value_id);
   }
+  Status AppendNTriples(ValueId value_id, std::string* out) const override {
+    return values_->AppendNTriples(value_id, out);
+  }
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     return links_->CacheFor(model_id);
   }

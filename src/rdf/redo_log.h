@@ -205,6 +205,9 @@ struct LoggedStoreOptions {
   /// Filesystem everything (snapshots, log, manifest) goes through;
   /// nullptr = storage::Env::Default().
   storage::Env* env = nullptr;
+  /// Attached to the store before recovery runs, so replay's events
+  /// (replay/torn_tail, replay/done) are written; null = none.
+  obs::EventLog* event_log = nullptr;
 };
 
 }  // namespace rdfdb::rdf

@@ -35,6 +35,11 @@ Result<Term> StoreVersion::TermForValueId(ValueId value_id) const {
   return dict_->TermForValueId(value_id);
 }
 
+Status StoreVersion::AppendNTriples(ValueId value_id,
+                                    std::string* out) const {
+  return dict_->AppendNTriples(value_id, out);
+}
+
 size_t StoreVersion::TripleCount(ModelId model_id) const {
   const LinkStore::ModelIdCache* cache = CacheFor(model_id);
   return cache == nullptr ? 0 : cache->live_count();
@@ -89,8 +94,10 @@ Result<std::unique_ptr<SnapshotRdfStore>> SnapshotRdfStore::Open(
     RDFDB_ASSIGN_OR_RETURN(store, RdfStore::Open(snapshot_to_load, env));
   }
 
-  // Replay stats land in the store's metrics registry (ReplayRedoLog
-  // emits them), so recovery is observable after the fact.
+  // Replay stats land in the store's metrics registry and its events in
+  // the event log (ReplayRedoLog emits both), so recovery is observable
+  // after the fact.
+  if (options.event_log != nullptr) store->set_event_log(options.event_log);
   ReplayOptions replay_opts;
   replay_opts.min_seq = min_seq;
   replay_opts.env = env;

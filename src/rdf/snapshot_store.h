@@ -73,6 +73,7 @@ class StoreVersion : public StoreView {
   std::optional<ValueId> LookupBlank(ModelId model_id,
                                      const std::string& label) const override;
   Result<Term> TermForValueId(ValueId value_id) const override;
+  Status AppendNTriples(ValueId value_id, std::string* out) const override;
   const LinkStore::ModelIdCache* CacheFor(ModelId model_id) const override {
     auto it = caches_.find(model_id);
     return it == caches_.end() ? nullptr : it->second.get();

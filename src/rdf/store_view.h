@@ -2,8 +2,8 @@
 //
 // A store implements a handful of virtual hooks — model-name
 // resolution, term lookups (global and model-scoped blank nodes),
-// VALUE_ID → term, each model's id-native quad cache, and the quad of a
-// LINK_ID.
+// VALUE_ID → term and VALUE_ID → N-Triples text, each model's id-native
+// quad cache, and the quad of a LINK_ID.
 // Everything else a reader calls is a non-virtual member built on those
 // hooks: the paper's point reads (IS_TRIPLE, IS_REIFIED, GET_TRIPLE_ID),
 // model statistics, triple resolution for the member functions, and
@@ -56,6 +56,13 @@ class StoreView {
 
   /// Reconstruct the term stored under `value_id`.
   virtual Result<Term> TermForValueId(ValueId value_id) const = 0;
+
+  /// Append the N-Triples spelling of the term stored under `value_id`
+  /// to `*out` — byte for byte TermForValueId(value_id)->ToNTriples(),
+  /// written from the store's own term storage with no Term built.
+  /// This is how results leave the store as text (the server's /query
+  /// body); NotFound leaves `*out` unchanged.
+  virtual Status AppendNTriples(ValueId value_id, std::string* out) const = 0;
 
   /// One model's quad cache — the live object for RdfStore, the pinned
   /// one for a StoreVersion — or null when the model has no rows. Reads

@@ -87,54 +87,85 @@ const char* Term::TypeCode() const {
 
 namespace {
 
-std::string EscapeLiteral(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out.push_back(c);
-    }
+/// The N-Triples escape letter for `c` ('\\', '"', 'n', 'r', 't'), or 0
+/// when `c` is written as is.
+char LiteralEscape(char c) {
+  switch (c) {
+    case '\\':
+      return '\\';
+    case '"':
+      return '"';
+    case '\n':
+      return 'n';
+    case '\r':
+      return 'r';
+    case '\t':
+      return 't';
+    default:
+      return 0;
   }
-  return out;
+}
+
+/// Escape out[from, end) in place: count the escapes, grow once, and
+/// move the bytes back to front, so nothing is copied when none is
+/// needed (the common case). FindEscapable skips the plain runs.
+void EscapeLiteralTail(size_t from, std::string* out) {
+  size_t extra = 0;
+  for (size_t i = FindEscapable(*out, from); i < out->size();
+       i = FindEscapable(*out, i + 1)) {
+    if (LiteralEscape((*out)[i]) != 0) ++extra;
+  }
+  if (extra == 0) return;
+  size_t src = out->size();
+  out->resize(src + extra);
+  size_t dst = out->size();
+  char* d = out->data();
+  while (src > from) {
+    const char c = d[--src];
+    const char esc = LiteralEscape(c);
+    d[--dst] = esc == 0 ? c : esc;
+    if (esc != 0) d[--dst] = '\\';
+  }
 }
 
 }  // namespace
 
-std::string Term::ToNTriples() const {
-  switch (kind_) {
+void SpellNTriples(TermKind kind, std::string_view language,
+                   std::string_view datatype, size_t lexical_start,
+                   std::string* out) {
+  switch (kind) {
     case TermKind::kUri:
-      return "<" + lexical_ + ">";
+      out->insert(lexical_start, 1, '<');
+      out->push_back('>');
+      return;
     case TermKind::kBlankNode:
-      return "_:" + lexical_;
-    case TermKind::kPlainLiteral:
-    case TermKind::kPlainLongLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical_) + "\"";
-      if (!language_.empty()) out += "@" + language_;
-      return out;
-    }
-    case TermKind::kPlainLiteralLang:
-      return "\"" + EscapeLiteral(lexical_) + "\"@" + language_;
+      out->insert(lexical_start, "_:");
+      return;
     case TermKind::kTypedLiteral:
     case TermKind::kTypedLongLiteral:
-      return "\"" + EscapeLiteral(lexical_) + "\"^^<" + datatype_ + ">";
+    case TermKind::kPlainLiteral:
+    case TermKind::kPlainLiteralLang:
+    case TermKind::kPlainLongLiteral:
+      break;
   }
-  return {};
+  out->insert(lexical_start, 1, '"');
+  EscapeLiteralTail(lexical_start + 1, out);
+  out->push_back('"');
+  if (kind == TermKind::kTypedLiteral ||
+      kind == TermKind::kTypedLongLiteral) {
+    out->append("^^<").append(datatype).push_back('>');
+  } else if (!language.empty()) {
+    out->push_back('@');
+    out->append(language);
+  }
+}
+
+std::string Term::ToNTriples() const {
+  std::string out;
+  out.reserve(lexical_.size() + language_.size() + datatype_.size() + 8);
+  out.append(lexical_);
+  SpellNTriples(kind_, language_, datatype_, 0, &out);
+  return out;
 }
 
 std::string Term::ToDisplayString() const {

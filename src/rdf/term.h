@@ -6,6 +6,7 @@
 #define RDFDB_RDF_TERM_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -96,6 +97,18 @@ class Term {
   std::string language_;
   std::string datatype_;
 };
+
+/// The one N-Triples spelling of a term, for callers that hold its
+/// parts rather than a Term: turns the raw lexical form at
+/// out[lexical_start, end) into <uri>, _:label, "text"@lang or
+/// "text"^^<dt> in place, escaping backslash, quote, newline, carriage
+/// return and tab inside literals. A plain literal (long or not)
+/// carries "@lang" exactly when `language` is non-empty.
+/// Term::ToNTriples and the dictionaries' AppendNTriples both write
+/// through it.
+void SpellNTriples(TermKind kind, std::string_view language,
+                   std::string_view datatype, size_t lexical_start,
+                   std::string* out);
 
 /// Parse an API-level term string as accepted by the paper's
 /// SDO_RDF_TRIPLE_S constructors:

@@ -89,9 +89,10 @@ size_t TermDict::AppendEntry(Entry entry) {
     chunk = new Chunk();
     chunks_[chunk_i].store(chunk, std::memory_order_release);
   }
+  if (index == 0) first_id_ = entry.id;
   (*chunk)[index & (kChunkSize - 1)] = std::move(entry);
-  // Readers only reach an entry through a table slot, which is
-  // release-stored after this; the count is informational.
+  // Readers reach an entry through a table slot, release-stored after
+  // this, or through FindById's direct probe below this count.
   count_.store(index + 1, std::memory_order_release);
   return index;
 }
@@ -285,17 +286,42 @@ std::optional<ValueId> TermDict::LookupBlank(
   }
 }
 
-Result<Term> TermDict::TermForValueId(ValueId value_id) const {
+const TermDict::Entry* TermDict::FindById(ValueId value_id) const {
+  // Direct probe: with no gap in the VALUE_ID sequence the entry sits at
+  // index value_id - first_id_, one load instead of a table probe.
+  const size_t count = count_.load(std::memory_order_acquire);
+  if (count > 0 && value_id >= first_id_ &&
+      static_cast<uint64_t>(value_id - first_id_) < count) {
+    const Entry& entry = EntryAt(static_cast<size_t>(value_id - first_id_));
+    if (entry.id == value_id) return &entry;
+  }
   const HashTable* table = id_table_.load(std::memory_order_acquire);
   const uint64_t key = Mix(static_cast<uint64_t>(value_id));
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
     const uint64_t v = table->slots[i].load(std::memory_order_acquire);
-    if (v == 0) {
-      return Status::NotFound("VALUE_ID " + std::to_string(value_id));
-    }
+    if (v == 0) return nullptr;
     const Entry& entry = EntryAt(v - 1);
-    if (entry.id == value_id) return MaterializeTerm(entry);
+    if (entry.id == value_id) return &entry;
   }
+}
+
+Result<Term> TermDict::TermForValueId(ValueId value_id) const {
+  const Entry* entry = FindById(value_id);
+  if (entry == nullptr) {
+    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
+  }
+  return MaterializeTerm(*entry);
+}
+
+Status TermDict::AppendNTriples(ValueId value_id, std::string* out) const {
+  const Entry* entry = FindById(value_id);
+  if (entry == nullptr) {
+    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
+  }
+  const size_t start = out->size();
+  entry->pack->AppendTo(entry->pack_slot, out);
+  SpellNTriples(entry->kind, entry->language, entry->datatype, start, out);
+  return Status::OK();
 }
 
 }  // namespace rdfdb::rdf

@@ -79,6 +79,12 @@ class TermDict {
   /// semantics, including its NotFound message).
   Result<Term> TermForValueId(ValueId value_id) const;
 
+  /// Append the N-Triples spelling of the term stored under `value_id`
+  /// to `*out` (== TermForValueId(value_id)->ToNTriples()): the lexical
+  /// form is decoded from its front-coded pack straight onto out's
+  /// tail and spelled in place, with no Term built.
+  Status AppendNTriples(ValueId value_id, std::string* out) const;
+
   /// Entries ingested so far.
   size_t size() const {
     return count_.load(std::memory_order_acquire);
@@ -124,6 +130,9 @@ class TermDict {
     size_t count = 0;  ///< writer-side occupancy
   };
 
+  /// The entry of `value_id`, or null when it was never ingested.
+  const Entry* FindById(ValueId value_id) const;
+
   const Entry& EntryAt(size_t index) const {
     return (*chunks_[index >> kChunkShift].load(
         std::memory_order_acquire))[index & (kChunkSize - 1)];
@@ -151,7 +160,13 @@ class TermDict {
   static uint64_t BlankKey(int64_t model_id, const std::string& label);
 
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_{};
+  /// Entries published so far (release-stored after each entry is
+  /// complete, so an entry below an acquired count is safe to read).
   std::atomic<size_t> count_{0};
+  /// VALUE_ID of entry 0, written before the first count_ publish.
+  /// Entries arrive in ascending VALUE_ID order, so while the sequence
+  /// has no gaps entry i holds first_id_ + i (FindById's direct probe).
+  ValueId first_id_ = 0;
 
   std::atomic<HashTable*> term_table_;  ///< non-blank terms, key Term::Hash
   std::atomic<HashTable*> id_table_;    ///< all entries, key VALUE_ID

@@ -331,39 +331,86 @@ std::optional<std::pair<int64_t, std::string>> ValueStore::LookupBlankLabel(
                         row->at(kBnLabel).as_string());
 }
 
-Result<Term> ValueStore::GetTerm(ValueId value_id) const {
-  const int64_t rid = RowForId(value_id);
-  if (rid < 0) {
+namespace {
+
+/// A rdf_value$ row's term as views into the row: the parts GetTerm
+/// builds a Term from and AppendNTriples spells directly. PL and PLL
+/// rows decode to kPlainLiteral, whose language (possibly empty)
+/// decides the factory and the "@lang" suffix.
+struct RowTerm {
+  TermKind kind = TermKind::kUri;
+  std::string_view lexical;
+  std::string_view language;
+  std::string_view datatype;
+};
+
+Result<RowTerm> DecodeValueRow(const Row* row, ValueId value_id) {
+  if (row == nullptr) {
     return Status::NotFound("VALUE_ID " + std::to_string(value_id));
   }
-  const Row* row = values_->Get(rid);
   const std::string& type_code = row->at(kValueType).as_string();
   const std::string& name = row->at(kValueName).as_string();
-  if (type_code == "UR") return Term::Uri(name);
+  RowTerm t;
+  if (type_code == "UR") {
+    t.lexical = name;
+    return t;
+  }
   if (type_code == "BN") {
     // Internal names begin "_:"; strip it for the label.
-    return Term::BlankNode(name.substr(2));
+    t.kind = TermKind::kBlankNode;
+    t.lexical = std::string_view(name).substr(2);
+    return t;
   }
-  std::string text = row->at(kLongValue).is_null()
-                         ? name
-                         : row->at(kLongValue).as_clob();
-  if (type_code == "PL" || type_code == "PLL") {
-    std::string lang = row->at(kLanguageType).is_null()
-                           ? ""
-                           : row->at(kLanguageType).as_string();
-    return lang.empty() ? Term::PlainLiteral(std::move(text))
-                        : Term::PlainLiteralLang(std::move(text),
-                                                 std::move(lang));
-  }
-  if (type_code == "PL@") {
-    return Term::PlainLiteralLang(std::move(text),
-                                  row->at(kLanguageType).as_string());
+  t.lexical = row->at(kLongValue).is_null()
+                  ? std::string_view(name)
+                  : std::string_view(row->at(kLongValue).as_clob());
+  if (type_code == "PL" || type_code == "PLL" || type_code == "PL@") {
+    t.kind = type_code == "PL@" ? TermKind::kPlainLiteralLang
+                                : TermKind::kPlainLiteral;
+    if (!row->at(kLanguageType).is_null()) {
+      t.language = row->at(kLanguageType).as_string();
+    }
+    return t;
   }
   if (type_code == "TL" || type_code == "TLL") {
-    return Term::TypedLiteral(std::move(text),
-                              row->at(kLiteralType).as_string());
+    t.kind = TermKind::kTypedLiteral;
+    t.datatype = row->at(kLiteralType).as_string();
+    return t;
   }
   return Status::Corruption("unknown VALUE_TYPE " + type_code);
+}
+
+}  // namespace
+
+Result<Term> ValueStore::GetTerm(ValueId value_id) const {
+  const int64_t rid = RowForId(value_id);
+  RDFDB_ASSIGN_OR_RETURN(
+      RowTerm t,
+      DecodeValueRow(rid < 0 ? nullptr : values_->Get(rid), value_id));
+  std::string lexical(t.lexical);
+  switch (t.kind) {
+    case TermKind::kUri:
+      return Term::Uri(std::move(lexical));
+    case TermKind::kBlankNode:
+      return Term::BlankNode(std::move(lexical));
+    case TermKind::kTypedLiteral:
+      return Term::TypedLiteral(std::move(lexical), std::string(t.datatype));
+    default:
+      // An empty language makes this a plain literal.
+      return Term::PlainLiteralLang(std::move(lexical),
+                                    std::string(t.language));
+  }
+}
+
+Status ValueStore::AppendNTriples(ValueId value_id, std::string* out) const {
+  const int64_t rid = RowForId(value_id);
+  RDFDB_ASSIGN_OR_RETURN(
+      RowTerm t,
+      DecodeValueRow(rid < 0 ? nullptr : values_->Get(rid), value_id));
+  const size_t start = out->size();
+  out->append(t.lexical);
+  SpellNTriples(t.kind, t.language, t.datatype, start, out);
+  return Status::OK();
 }
 
 Result<std::string> ValueStore::GetText(ValueId value_id) const {

@@ -79,6 +79,11 @@ class ValueStore {
   /// Reconstruct the Term stored under `value_id`.
   Result<Term> GetTerm(ValueId value_id) const;
 
+  /// Append the N-Triples spelling of the term stored under `value_id`
+  /// (== GetTerm(value_id)->ToNTriples()) to `*out`, straight from the
+  /// rdf_value$ row with no Term built.
+  Status AppendNTriples(ValueId value_id, std::string* out) const;
+
   /// Full text of the value (reads LONG_VALUE for long literals). This is
   /// the paper's VALUE_NAME.GETURL()-style accessor.
   Result<std::string> GetText(ValueId value_id) const;

@@ -51,6 +51,32 @@ std::string PartialStatsJson(const obs::QueryTrace& trace) {
   return out;
 }
 
+/// Append the result rows as JSON arrays of N-Triples strings, written
+/// straight from the result's view (its term dictionary) with no Term
+/// built: each cell is spelled into one reused scratch buffer and
+/// JSON-escaped onto `body`. The view must still be alive
+/// (query/match.h's lifetime rule).
+Status AppendJsonRows(const query::MatchResult& table, std::string* body) {
+  const size_t width = table.columns().size();
+  // Typical cells run 20-60 bytes: start near the final size rather
+  // than doubling up to it.
+  body->reserve(body->size() + table.row_count() * (width * 32 + 4));
+  std::string scratch;
+  for (size_t r = 0; r < table.row_count(); ++r) {
+    if (r > 0) body->append(", ", 2);
+    body->push_back('[');
+    for (size_t c = 0; c < width; ++c) {
+      if (c > 0) body->append(", ", 2);
+      scratch.clear();
+      RDFDB_RETURN_NOT_OK(
+          table.view()->AppendNTriples(table.id(r, c), &scratch));
+      obs::AppendJsonString(scratch, body);
+    }
+    body->push_back(']');
+  }
+  return Status::OK();
+}
+
 int64_t ParseInt64(const std::string& text, int64_t fallback) {
   char* end = nullptr;
   const long long v = std::strtoll(text.c_str(), &end, 10);
@@ -393,6 +419,8 @@ HttpResponse RdfServer::HandleQuery(const HttpRequest& request,
     return ResponseForStatus(result.status(), PartialStatsJson(trace));
   }
 
+  // The result holds ids into the pinned version; its rows are
+  // rendered below, while `pin` is still held.
   const query::MatchResult& table = *result;
   std::string body = "{\"columns\": [";
   for (size_t c = 0; c < table.columns().size(); ++c) {
@@ -400,14 +428,11 @@ HttpResponse RdfServer::HandleQuery(const HttpRequest& request,
     obs::AppendJsonString(table.columns()[c], &body);
   }
   body += "], \"rows\": [";
-  for (size_t r = 0; r < table.row_count(); ++r) {
-    if (r > 0) body += ", ";
-    body += "[";
-    for (size_t c = 0; c < table.columns().size(); ++c) {
-      if (c > 0) body += ", ";
-      obs::AppendJsonString(table.at(r, c).ToNTriples(), &body);
-    }
-    body += "]";
+  Status rendered = AppendJsonRows(table, &body);
+  if (!rendered.ok()) {
+    // Every result id resolves in the version it came from, so a miss
+    // is the store's fault (500), not a missing resource (404).
+    return ResponseForStatus(Status::Corruption(rendered.message()), "");
   }
   body += "], \"row_count\": " + std::to_string(table.row_count());
   body += ", \"stats\": " + PartialStatsJson(trace) + "}";

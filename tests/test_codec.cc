@@ -271,6 +271,37 @@ TEST(FrontCodedPackTest, CompressesSortedUris) {
   }
 }
 
+TEST(FrontCodedPackTest, AppendToDecodesInPlaceOntoNonEmptyOut) {
+  // Two full blocks of long (past any small-string buffer) members that
+  // share long prefixes, grow and shrink, so slots 1..15 each splice a
+  // suffix onto a cut-back predecessor on the tail of `out`.
+  std::vector<std::string> strings;
+  for (int i = 0; i < 2 * static_cast<int>(FrontCodedPack::kBlockSize); ++i) {
+    std::string s = "http://purl.uniprot.org/citations/" +
+                    std::to_string(1000 + i / 3);
+    if (i % 3 == 1) s += "/annotation/with/a/longer/tail";
+    if (i % 3 == 2) s += "#x";
+    strings.push_back(std::move(s));
+  }
+  std::sort(strings.begin(), strings.end());
+
+  FrontCodedPackBuilder builder;
+  for (const std::string& s : strings) builder.Add(s);
+  FrontCodedPack pack = builder.Build();
+  const std::string prefix =
+      "an earlier cell, longer than the members it precedes: "
+      "<http://example.org/already/written>";
+  for (uint32_t slot : {0u, 1u, 15u, 16u, 17u, 31u}) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    std::string out = prefix;
+    pack.AppendTo(slot, &out);
+    EXPECT_EQ(out, prefix + strings[slot]);
+    // A second decode appends after the first, leaving it intact.
+    pack.AppendTo(slot, &out);
+    EXPECT_EQ(out, prefix + strings[slot] + strings[slot]);
+  }
+}
+
 TEST(FrontCodedPackTest, FuzzRandomStrings) {
   std::mt19937 rng(1234);
   for (int round = 0; round < 20; ++round) {

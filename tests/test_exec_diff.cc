@@ -251,22 +251,34 @@ GeneratedQuery GenerateQuery(Random& rng, const DiffData& data) {
   return q;
 }
 
-Result<MatchResult> RunQuery(const GeneratedQuery& q, unsigned threads,
-                             size_t chunk_frames,
-                             const std::string& model = kModel) {
+/// The query on the live store. Its cells resolve through the live
+/// store, so the caller reads the result inside the same OnLive call,
+/// under the writer lock (query/match.h).
+Result<MatchResult> RunQuery(const rdf::RdfStore& store,
+                             const GeneratedQuery& q, unsigned threads,
+                             size_t chunk_frames, const std::string& model) {
   MatchOptions options = q.options;
   options.threads = threads;
   options.chunk_frames = chunk_frames;
-  return OnLive([&](const rdf::RdfStore& store) {
-    return SdoRdfMatch(store, q.patterns, {model}, {}, q.filter, options);
-  });
+  return SdoRdfMatch(store, q.patterns, {model}, {}, q.filter, options);
 }
 
+/// A result together with the pin it was computed on: the result's
+/// cells resolve through the pinned version, so the pin must outlive
+/// every read of it (query/match.h). Members destroy in reverse order,
+/// so the result goes first.
+struct PinnedResult {
+  rdf::SnapshotRdfStore::ReadPin pin;
+  Result<MatchResult> result;
+};
+
 /// The sequential query on a pinned snapshot version.
-Result<MatchResult> RunPinnedQuery(const GeneratedQuery& q,
-                                   const std::string& model) {
-  return SdoRdfMatch(SharedData()->versions.Snapshot().view(), q.patterns,
-                     {model}, {}, q.filter, q.options);
+PinnedResult RunPinnedQuery(const GeneratedQuery& q,
+                            const std::string& model) {
+  rdf::SnapshotRdfStore::ReadPin pin = SharedData()->versions.Snapshot();
+  Result<MatchResult> result = SdoRdfMatch(pin.view(), q.patterns, {model},
+                                           {}, q.filter, q.options);
+  return PinnedResult{std::move(pin), std::move(result)};
 }
 
 /// Comparable text of a term. The store names a blank node by its
@@ -329,9 +341,7 @@ void ExpectMatchesReference(const GeneratedQuery& q,
     ASSERT_EQ(answer->columns(), expected->columns);
     const std::vector<std::string> got = SortedRowKeys(
         answer->row_count(), cols,
-        [&](size_t r, size_t c) -> const rdf::Term& {
-          return answer->at(r, c);
-        });
+        [&](size_t r, size_t c) -> rdf::Term { return answer->at(r, c); });
     if (q.options.limit == 0) {
       ASSERT_EQ(got, want);
     } else {
@@ -345,33 +355,37 @@ void ExpectMatchesReference(const GeneratedQuery& q,
       }
     }
   };
-  auto sequential = RunQuery(q, 1, 512, model);
-  expect_answer(sequential, "live store");
-  expect_answer(RunPinnedQuery(q, model), "pinned version");
-  ASSERT_TRUE(sequential.ok());
+  const PinnedResult pinned = RunPinnedQuery(q, model);
+  expect_answer(pinned.result, "pinned version");
 
-  struct Config {
-    unsigned threads;
-    size_t chunk_frames;
-  };
-  const Config configs[] = {{2, 3}, {2, 512}, {8, 1}, {8, 512}};
-  for (const Config& config : configs) {
-    SCOPED_TRACE("threads=" + std::to_string(config.threads) +
-                 " chunk_frames=" + std::to_string(config.chunk_frames));
-    auto parallel =
-        RunQuery(q, config.threads, config.chunk_frames, model);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ASSERT_EQ(parallel->columns(), sequential->columns());
-    ASSERT_EQ(parallel->row_count(), sequential->row_count());
-    for (size_t r = 0; r < parallel->row_count(); ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        ASSERT_TRUE(parallel->at(r, c) == sequential->at(r, c))
-            << "row " << r << " col " << c << ": "
-            << parallel->at(r, c).ToNTriples() << " vs "
-            << sequential->at(r, c).ToNTriples();
+  OnLive([&](const rdf::RdfStore& store) {
+    auto sequential = RunQuery(store, q, 1, 512, model);
+    expect_answer(sequential, "live store");
+    ASSERT_TRUE(sequential.ok());
+
+    struct Config {
+      unsigned threads;
+      size_t chunk_frames;
+    };
+    const Config configs[] = {{2, 3}, {2, 512}, {8, 1}, {8, 512}};
+    for (const Config& config : configs) {
+      SCOPED_TRACE("threads=" + std::to_string(config.threads) +
+                   " chunk_frames=" + std::to_string(config.chunk_frames));
+      auto parallel =
+          RunQuery(store, q, config.threads, config.chunk_frames, model);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ASSERT_EQ(parallel->columns(), sequential->columns());
+      ASSERT_EQ(parallel->row_count(), sequential->row_count());
+      for (size_t r = 0; r < parallel->row_count(); ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          ASSERT_TRUE(parallel->at(r, c) == sequential->at(r, c))
+              << "row " << r << " col " << c << ": "
+              << parallel->at(r, c).ToNTriples() << " vs "
+              << sequential->at(r, c).ToNTriples();
+        }
       }
     }
-  }
+  });
 }
 
 TEST(ExecDiffTest, RandomizedQueriesMatchReferenceModel) {

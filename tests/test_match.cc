@@ -282,6 +282,40 @@ TEST_F(MatchTest, ProjectionDistinctAndLimit) {
                   .IsInvalidArgument());
 }
 
+TEST(MatchDistinctTest, ManyDistinctRowsEachKeptOnce) {
+  // Enough distinct rows that DISTINCT's seen-set grows several times
+  // while duplicates of early rows keep arriving.
+  rdf::RdfStore store;
+  ASSERT_TRUE(store.CreateRdfModel("d", "d_app", "triple").ok());
+  for (int s = 0; s < 300; ++s) {
+    for (int p = 0; p < 3; ++p) {
+      ASSERT_TRUE(store
+                      .InsertTriple("d", "ex:s" + std::to_string(s),
+                                    "ex:p" + std::to_string(p),
+                                    "ex:o" + std::to_string(s % 100))
+                      .ok());
+    }
+  }
+  MatchOptions options;
+  options.distinct = true;
+  options.projection = {"p", "o"};
+  auto pairs = SdoRdfMatch(&store, nullptr, "(?s ?p ?o)", {"d"}, {}, {}, "",
+                           options);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  std::set<std::string> seen;
+  for (size_t r = 0; r < pairs->row_count(); ++r) {
+    seen.insert(pairs->Get(r, "p") + " " + pairs->Get(r, "o"));
+  }
+  EXPECT_EQ(pairs->row_count(), 300u);
+  EXPECT_EQ(seen.size(), 300u);
+
+  options.projection = {"o"};
+  auto objects = SdoRdfMatch(&store, nullptr, "(?s ?p ?o)", {"d"}, {}, {},
+                             "", options);
+  ASSERT_TRUE(objects.ok());
+  EXPECT_EQ(objects->row_count(), 100u);
+}
+
 TEST_F(MatchTest, EngineRulebaseManagement) {
   EXPECT_TRUE(engine_->CreateRulebase("rb1").ok());
   EXPECT_TRUE(engine_->CreateRulebase("rb1").IsAlreadyExists());

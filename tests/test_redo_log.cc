@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "common/crc32c.h"
+#include "obs/event_log.h"
 #include "rdf/bulk_load.h"
 #include "rdf/ntriples.h"
 #include "rdf/snapshot_store.h"
@@ -272,6 +274,38 @@ TEST_F(RedoLogTest, TornFinalRecordToleratedAndTruncated) {
   recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE((*recovered)->recovery_stats().torn_tail);
+}
+
+TEST_F(RedoLogTest, RecoveryEventsReachTheEventLogGivenAtOpen) {
+  {
+    auto db = SnapshotRdfStore::Open(snapshot_path_, log_path_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateRdfModel("m", "mdata", "triple").ok());
+    ASSERT_TRUE((*db)->InsertTriple("m", "gov:a", "gov:p", "gov:b").ok());
+  }
+  {
+    std::ofstream append(log_path_, std::ios::app);
+    append << "3\tdeadbe";  // torn final record
+  }
+  std::ostringstream sink;
+  obs::EventLog::Options event_options;
+  event_options.sink = &sink;
+  auto events = obs::EventLog::Open(std::move(event_options));
+  ASSERT_TRUE(events.ok());
+  LoggedStoreOptions options;
+  options.event_log = events->get();
+  auto recovered = SnapshotRdfStore::Open(snapshot_path_, log_path_, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE((*recovered)->recovery_stats().torn_tail);
+  (*events)->Flush();
+  const std::string lines = sink.str();
+  const size_t torn =
+      lines.find("\"cat\":\"replay\",\"event\":\"torn_tail\"");
+  const size_t done = lines.find("\"cat\":\"replay\",\"event\":\"done\"");
+  ASSERT_NE(torn, std::string::npos) << lines;
+  ASSERT_NE(done, std::string::npos) << lines;
+  EXPECT_LT(torn, done);
+  EXPECT_NE(lines.find("\"records\":2"), std::string::npos) << lines;
 }
 
 TEST_F(RedoLogTest, SeqGapRejected) {

@@ -37,10 +37,17 @@ using std::chrono::steady_clock;
 // single-digit-millisecond deadline reliably fires mid-join.
 constexpr size_t kRows = 512;
 
+/// A query that keeps a worker busy until its deadline (or a cancel): a
+/// three-way cross product (kRows^3 candidate rows) whose filter needs
+/// all three variables and holds for none, so the executor scans and
+/// resolves filter operands for seconds without emitting a row or
+/// growing a result.
 std::string HeavyQueryTarget() {
   return "/query?q=" +
          PercentEncode("(?a <http://t.example/p> ?x) "
-                       "(?b <http://t.example/p> ?y)") +
+                       "(?b <http://t.example/p> ?y) "
+                       "(?c <http://t.example/p> ?z)") +
+         "&filter=" + PercentEncode("?x = ?y AND ?y = ?z AND ?x != ?z") +
          "&model=m";
 }
 
@@ -154,10 +161,10 @@ TEST_F(ServerTest, StatsSurfaceIsDelegated) {
 
 TEST_F(ServerTest, DeadlineExceededReturns504WithPartialStats) {
   auto server = StartServer({});
-  // The heavy join runs for ~0.7 s on an idle 4-core machine, so a
-  // 100 ms budget fires mid-execution. A budget of a few ms could be
-  // spent in the admission queue on a loaded machine, and a
-  // queue-stage 504 has no partial stats to report.
+  // The heavy query runs until its deadline, so a 100 ms budget fires
+  // mid-execution. A budget of a few ms could be spent in the admission
+  // queue on a loaded machine, and a queue-stage 504 has no partial
+  // stats to report.
   auto resp =
       Get(server->port(), HeavyQueryTarget(), {{"X-Deadline-Ms", "100"}});
   ASSERT_TRUE(resp.ok());

@@ -122,6 +122,69 @@ TEST(SnapshotStoreTest, MatchRunsAgainstPinnedVersion) {
   EXPECT_EQ(fresh->row_count(), 3u);
 }
 
+TEST(SnapshotStoreTest, PinnedResultResolvesWhileWriterPublishes) {
+  // A result keeps ids and resolves them through the version it was
+  // computed on. Held under its pin, it must keep answering the pinned
+  // terms while a writer publishes (and retires) newer versions.
+  SnapshotRdfStore store;
+  ASSERT_TRUE(store.CreateRdfModel("m", "mdata", "triple").ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(store
+                    .InsertTriple("m", "gov:s", "gov:p",
+                                  "\"v" + std::to_string(i) + "\"@en")
+                    .ok());
+  }
+  auto pin = store.Snapshot();
+  auto result = query::SdoRdfMatch(pin.view(), "(gov:s gov:p ?o)", {"m"},
+                                   {}, "");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->row_count(), 40u);
+  std::vector<std::string> pinned;
+  for (size_t r = 0; r < result->row_count(); ++r) {
+    pinned.push_back(result->at(r, 0).ToNTriples());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 60; ++i) {
+      if (!store
+               .InsertTriple("m", "gov:s", "gov:p",
+                             "\"w" + std::to_string(i) + "\"")
+               .ok() ||
+          (i < 40 && !store
+                          .DeleteTriple("m", "gov:s", "gov:p",
+                                        "\"v" + std::to_string(i) + "\"@en")
+                          .ok())) {
+        failures.fetch_add(1);
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::string text;
+  int passes = 0;
+  while (!done.load(std::memory_order_acquire) || passes < 2) {
+    ++passes;
+    for (size_t r = 0; r < result->row_count(); ++r) {
+      if (result->at(r, 0).ToNTriples() != pinned[r]) failures.fetch_add(1);
+      text.clear();
+      if (!result->view()->AppendNTriples(result->id(r, 0), &text).ok() ||
+          text != pinned[r]) {
+        failures.fetch_add(1);
+      }
+    }
+  }
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(result->row_count(), 40u);
+  // The live state moved on: the v* rows are gone, the w* rows are in.
+  auto fresh = store.Snapshot();
+  auto now = query::SdoRdfMatch(fresh.view(), "(gov:s gov:p ?o)", {"m"}, {},
+                                "");
+  ASSERT_TRUE(now.ok());
+  EXPECT_EQ(now->row_count(), 60u);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized differential: SnapshotRdfStore vs the reference model.
 // ---------------------------------------------------------------------------

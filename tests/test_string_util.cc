@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 namespace rdfdb {
 namespace {
 
@@ -90,6 +93,32 @@ TEST(StringUtilTest, ParseDoubleInvalid) {
   EXPECT_FALSE(ParseDouble("", &v));
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("1.5x", &v));
+}
+
+TEST(StringUtilTest, FindEscapableMatchesBytewiseScan) {
+  // Bytes around every boundary the word-at-a-time test draws: below,
+  // at and above 0x20, the two quoted characters and their neighbours,
+  // DEL and high (UTF-8) bytes.
+  const char alphabet[] = {'a', 'z', '\x00', '\x01', '\x1f', ' ', '!', '"',
+                           '#', '[', '\\', ']', '\x7f', '\x80', '\xc3',
+                           '\xff'};
+  std::mt19937 rng(7);
+  for (int round = 0; round < 4000; ++round) {
+    std::string s(rng() % 40, 'x');
+    // Mostly plain text, so long escape-free runs are common.
+    for (char& c : s) {
+      if (rng() % 6 == 0) c = alphabet[rng() % sizeof(alphabet)];
+    }
+    const size_t from = s.empty() ? 0 : rng() % (s.size() + 1);
+    size_t want = from;
+    while (want < s.size()) {
+      const unsigned char c = static_cast<unsigned char>(s[want]);
+      if (c < 0x20 || c == '"' || c == '\\') break;
+      ++want;
+    }
+    ASSERT_EQ(FindEscapable(s, from), want)
+        << "round " << round << " from " << from;
+  }
 }
 
 }  // namespace

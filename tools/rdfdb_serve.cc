@@ -156,8 +156,10 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    rdfdb::rdf::LoggedStoreOptions store_options;
+    store_options.event_log = event_log->get();
     auto recovered = rdfdb::rdf::SnapshotRdfStore::Open(
-        snapshot_path, data_dir + "/store.log");
+        snapshot_path, data_dir + "/store.log", store_options);
     if (!recovered.ok()) {
       std::fprintf(stderr, "open %s: %s\n", data_dir.c_str(),
                    recovered.status().ToString().c_str());
