@@ -18,6 +18,9 @@
 //   bench_server_load [--workers N] [--triples M] [--duration-ms MS]
 //                     [--base-concurrency C] [--smoke] [--json]
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,6 +168,9 @@ int main(int argc, char** argv) {
 
   if (config.json) {
     std::printf("{\n  \"benchmark\": \"server_load\",\n");
+    std::printf("  \"env\": {\"nproc\": %ld, \"build_type\": \"%s\"},\n",
+                std::max(1L, ::sysconf(_SC_NPROCESSORS_ONLN)),
+                RDFDB_BUILD_TYPE);
     std::printf("  \"workers\": %u,\n  \"triples\": %zu,\n", config.workers,
                 config.triples);
     std::printf("  \"duration_ms\": %d,\n  \"results\": [\n",

@@ -1,7 +1,7 @@
 // Interval snapshots over a MetricsRegistry: point-in-time copies of
 // every instrument, delta/rate computation between two snapshots, and
 // the shared renderings used by tools/dump_metrics --watch,
-// tools/rdfdb_top, and the stats server's /varz endpoint — so all three
+// tools/rdfdb_top, and the stats router's /varz endpoint — so all three
 // surfaces agree on what a "rate" is.
 //
 // Counters (and histogram count/sum/buckets) are monotonic, so a delta
@@ -66,7 +66,7 @@ uint64_t IntervalCount(const MetricsSnapshot& prev,
 std::string RenderIntervalText(const MetricsSnapshot& prev,
                                const MetricsSnapshot& cur);
 
-/// The stats server's /varz payload: uptime, interval length, the full
+/// The stats router's /varz payload: uptime, interval length, the full
 /// registry JSON, plus per-interval counter rates. `extra_json` (may be
 /// empty) is spliced in as additional top-level members and must be a
 /// comma-led fragment like `,"dropped": 3`.

@@ -67,7 +67,7 @@ class SlowQueryLog {
   std::string ToString() const;
 
   /// JSON array of entries (query, models, rows, latency and stage
-  /// times — not the per-pattern detail) for the stats server.
+  /// times — not the per-pattern detail) for the stats router.
   std::string ToJson() const;
 
  private:

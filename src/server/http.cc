@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -199,7 +200,7 @@ Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits) {
   return req;
 }
 
-std::string RenderHttpResponse(const HttpResponse& response) {
+std::string RenderHttpHead(const HttpResponse& response) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     HttpStatusText(response.status) + "\r\n";
   out += "Content-Type: " + response.content_type + "\r\n";
@@ -208,8 +209,37 @@ std::string RenderHttpResponse(const HttpResponse& response) {
   }
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
-  out += response.body;
   return out;
+}
+
+void SendHttpResponse(int fd, const HttpResponse& response) {
+  const std::string head = RenderHttpHead(response);
+  iovec iov[2] = {
+      {const_cast<char*>(head.data()), head.size()},
+      {const_cast<char*>(response.body.data()), response.body.size()}};
+  iovec* next = iov;
+  size_t count = 2;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return;
+    }
+    // Skip what was sent: whole iovecs first, then a partial one.
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
+  }
 }
 
 HttpResponse ResponseForParseError(const Status& status) {

@@ -1,15 +1,15 @@
-// Bounded HTTP/1.1 request parsing and response rendering for the
-// query front-end (server/server.h), plus the tiny blocking client the
-// load generator and the tests use.
+// Bounded HTTP/1.1 request parsing and response writing: the one HTTP
+// stack of the process. RdfServer (server/server.h) serves every
+// endpoint through it, the observability surfaces included. It also
+// holds the tiny blocking client the load generator and the tests use.
 //
-// This is deliberately the same species of HTTP as obs/stats_server.h —
-// one request per connection, Connection: close, no chunked encoding,
-// no keep-alive — but unlike the stats peephole the front-end accepts
-// POST bodies, so parsing is bounded at every stage: the request head
-// (request line + headers) is capped, the declared Content-Length is
-// capped, and anything over a cap is answered with 413 instead of being
-// buffered without limit. Malformed requests get 400. The caps are the
-// first line of defense for a socket exposed beyond localhost.
+// One request per connection, Connection: close, no chunked encoding,
+// no keep-alive. The front-end accepts POST bodies, so parsing is
+// bounded at every stage: the request head (request line + headers) is
+// capped, the declared Content-Length is capped, and anything over a
+// cap is answered with 413 instead of being buffered without limit.
+// Malformed requests get 400. The caps are the first line of defense
+// for a socket exposed beyond localhost.
 
 #ifndef RDFDB_SERVER_HTTP_H_
 #define RDFDB_SERVER_HTTP_H_
@@ -75,8 +75,15 @@ Result<HttpRequest> ParseHttpRequestHead(std::string_view head);
 /// (no response owed).
 Result<HttpRequest> ReadHttpRequest(int fd, const HttpLimits& limits);
 
-/// Serialize status line + headers + body, Connection: close.
-std::string RenderHttpResponse(const HttpResponse& response);
+/// Status line + headers + the blank line that ends them, with
+/// Content-Length set to the body's size and Connection: close.
+std::string RenderHttpHead(const HttpResponse& response);
+
+/// Write the head and then the body with one gather write (sendmsg,
+/// two iovecs, MSG_NOSIGNAL), looping on short writes, so the body is
+/// never copied and the head does not go out as its own small segment.
+/// EINTR-safe; gives up on other errors.
+void SendHttpResponse(int fd, const HttpResponse& response);
 
 /// Map a parse error from ReadHttpRequest to the response it earned
 /// (400 or 413, with the status message as the body).

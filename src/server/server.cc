@@ -21,6 +21,7 @@
 #include "obs/active_ops.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "query/exec.h"
 #include "query/match.h"
 #include "rdf/ntriples.h"
 
@@ -55,14 +56,27 @@ std::string PartialStatsJson(const obs::QueryTrace& trace) {
 /// straight from the result's view (its term dictionary) with no Term
 /// built: each cell is spelled into one reused scratch buffer and
 /// JSON-escaped onto `body`. The view must still be alive
-/// (query/match.h's lifetime rule).
-Status AppendJsonRows(const query::MatchResult& table, std::string* body) {
+/// (query/match.h's lifetime rule). Rendering spends the same deadline
+/// as the match: a fired `token` (may be null) stops it within
+/// query::kCancelCheckIntervalRows rows, the executor's interval, with
+/// DeadlineExceeded or Cancelled.
+Status AppendJsonRows(const query::MatchResult& table,
+                      const CancelToken* token, std::string* body) {
   const size_t width = table.columns().size();
   // Typical cells run 20-60 bytes: start near the final size rather
   // than doubling up to it.
   body->reserve(body->size() + table.row_count() * (width * 32 + 4));
   std::string scratch;
   for (size_t r = 0; r < table.row_count(); ++r) {
+    if (token != nullptr && r % query::kCancelCheckIntervalRows == 0 &&
+        token->Expired()) {
+      const Status done = token->StatusIfDone();
+      const std::string message = done.message() + " while rendering row " +
+                                  std::to_string(r) + " of " +
+                                  std::to_string(table.row_count());
+      return done.IsCancelled() ? Status::Cancelled(message)
+                                : Status::DeadlineExceeded(message);
+    }
     if (r > 0) body->append(", ", 2);
     body->push_back('[');
     for (size_t c = 0; c < width; ++c) {
@@ -133,17 +147,17 @@ RdfServer::RdfServer(rdf::SnapshotRdfStore* store, RdfServerOptions options)
       metrics_(&store->metrics_registry()),
       queue_(options_.queue_capacity),
       shed_window_(5) {
-  obs::StatsServer::Sources sources = options_.stats_sources;
+  obs::StatsRouter::Sources sources = options_.stats_sources;
   if (sources.registry == nullptr) {
     sources.registry = &store_->metrics_registry();
   }
   if (!sources.refresh) {
     sources.refresh = [store = store_] { store->UpdateMemoryGauges(); };
   }
-  // The front-end owns the overload half of /healthz; the stats
-  // server's own signals (event-log drops, epoch lag) still apply.
+  // The front-end owns the overload half of /healthz; the router's
+  // own signals (event-log drops, epoch lag) still apply.
   sources.extra_health = [this] { return OverloadSignal(); };
-  stats_ = std::make_unique<obs::StatsServer>(sources);
+  stats_ = std::make_unique<obs::StatsRouter>(sources);
 }
 
 RdfServer::~RdfServer() { Shutdown(); }
@@ -265,7 +279,7 @@ void RdfServer::AcceptLoop() {
                    std::to_string(queue_.capacity()) + "}");
       resp.extra_headers.emplace_back(
           "Retry-After", std::to_string(options_.retry_after_seconds));
-      SendAll(conn, RenderHttpResponse(resp));
+      SendHttpResponse(conn, resp);
       // Consume the client's request before closing: closing with
       // unread bytes in the receive buffer makes the kernel send RST,
       // which can destroy the 503 before the client reads it. One
@@ -294,8 +308,7 @@ void RdfServer::ServeConn(const AdmittedConn& conn) {
   Result<HttpRequest> parsed = ReadHttpRequest(conn.fd, options_.http_limits);
   if (!parsed.ok()) {
     if (!parsed.status().IsIOError()) {
-      SendAll(conn.fd, RenderHttpResponse(
-                           ResponseForParseError(parsed.status())));
+      SendHttpResponse(conn.fd, ResponseForParseError(parsed.status()));
     }
     ::shutdown(conn.fd, SHUT_RDWR);
     ::close(conn.fd);
@@ -330,7 +343,7 @@ void RdfServer::ServeConn(const AdmittedConn& conn) {
   if (resp.status == 504) metrics_.deadline_exceeded->Inc();
   if (resp.status == 499) metrics_.cancelled->Inc();
 
-  SendAll(conn.fd, RenderHttpResponse(resp));
+  SendHttpResponse(conn.fd, resp);
   ::shutdown(conn.fd, SHUT_RDWR);
   ::close(conn.fd);
   metrics_.latency_ns->Observe(static_cast<uint64_t>(
@@ -363,10 +376,9 @@ HttpResponse RdfServer::Handle(const HttpRequest& request,
     }
     return HandleReify(request);
   }
-  // Observability surface: delegate to the embedded stats server's
-  // socket-free router (same endpoints, same bodies).
+  // Observability surface: delegate to the stats router.
   if (request.method == "GET") {
-    obs::StatsServer::Response stats = stats_->Handle(request.target);
+    obs::StatsRouter::Response stats = stats_->Handle(request.target);
     HttpResponse resp;
     resp.status = stats.status;
     resp.content_type = stats.content_type;
@@ -428,7 +440,10 @@ HttpResponse RdfServer::HandleQuery(const HttpRequest& request,
     obs::AppendJsonString(table.columns()[c], &body);
   }
   body += "], \"rows\": [";
-  Status rendered = AppendJsonRows(table, &body);
+  Status rendered = AppendJsonRows(table, token, &body);
+  if (rendered.IsDeadlineExceeded() || rendered.IsCancelled()) {
+    return ResponseForStatus(rendered, PartialStatsJson(trace));
+  }
   if (!rendered.ok()) {
     // Every result id resolves in the version it came from, so a miss
     // is the store's fault (500), not a missing resource (404).

@@ -9,7 +9,8 @@
 // X-Deadline-Ms, clamped to max_deadline_ms, measured from *accept*
 // so queue wait spends the same budget), and serves it. The token is
 // threaded through MatchOptions/BulkLoadOptions into the compiled
-// executor's row-loop checkpoints, so an expired deadline stops burning
+// executor's row-loop checkpoints, and checked at the same interval
+// while /query renders its rows, so an expired deadline stops burning
 // CPU within one checkpoint interval per executing thread and returns
 // a well-formed 504 carrying partial-progress stats from the query
 // trace. A watcher thread polls in-flight sockets for client hang-ups
@@ -25,7 +26,7 @@
 //   POST /reify?model=<m>&id=<rdf_t_id>           reify a stored triple
 //   GET  /metrics /varz /healthz /slow /timeline /profilez /allocz
 //        /activityz /historyz                     delegated to the
-//                                                 embedded StatsServer
+//                                                 embedded StatsRouter
 //
 // Error protocol: 400 malformed request/params, 404 unknown path or
 // model, 413 over a parse cap, 503 shed (Retry-After set, body JSON
@@ -52,7 +53,7 @@
 #include "common/status.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/stats_server.h"
+#include "obs/stats_router.h"
 #include "rdf/snapshot_store.h"
 #include "server/admission.h"
 #include "server/http.h"
@@ -92,7 +93,7 @@ struct RdfServerOptions {
   /// Sources for the embedded stats router (slow-query log, timeline,
   /// flight recorder, ...). registry/refresh default to the store's;
   /// extra_health is always replaced with the server's overload signal.
-  obs::StatsServer::Sources stats_sources;
+  obs::StatsRouter::Sources stats_sources;
 };
 
 /// Per-server metric bundle, registered into the store's registry so
@@ -142,7 +143,7 @@ class RdfServer {
   const ServerMetrics& metrics() const { return metrics_; }
 
   /// The /healthz overload signal ("" = healthy), also installed as the
-  /// embedded stats server's extra_health hook.
+  /// stats router's extra_health hook.
   std::string OverloadSignal() const;
 
  private:
@@ -177,7 +178,7 @@ class RdfServer {
   ServerMetrics metrics_;
   AdmissionQueue queue_;
   ShedWindow shed_window_;
-  std::unique_ptr<obs::StatsServer> stats_;  ///< Handle() only, no socket
+  std::unique_ptr<obs::StatsRouter> stats_;
 
   // Atomic because Shutdown() closes-and-invalidates the fd while the
   // acceptor thread is blocked in accept() on it.
