@@ -24,6 +24,9 @@
 // full load (seconds at 1M), and the interesting output is a table of
 // byte counters, not a latency distribution.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -187,7 +190,11 @@ bool WriteJson(const std::string& path, const std::vector<SizeResult>& all) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"memory_footprint\",\n  \"sizes\": [\n");
+  std::fprintf(f, "{\n  \"benchmark\": \"memory_footprint\",\n");
+  std::fprintf(f, "  \"env\": {\"nproc\": %ld, \"build_type\": \"%s\"},\n",
+               std::max(1L, ::sysconf(_SC_NPROCESSORS_ONLN)),
+               RDFDB_BUILD_TYPE);
+  std::fprintf(f, "  \"sizes\": [\n");
   for (size_t i = 0; i < all.size(); ++i) {
     const SizeResult& r = all[i];
     std::fprintf(

@@ -13,8 +13,13 @@
 // while /query renders its rows, so an expired deadline stops burning
 // CPU within one checkpoint interval per executing thread and returns
 // a well-formed 504 carrying partial-progress stats from the query
-// trace. A watcher thread polls in-flight sockets for client hang-ups
-// (POLLRDHUP) and fires Cancel() so abandoned work also stops early.
+// trace. A watcher thread polls in-flight sockets — not queued ones —
+// for client hang-ups (POLLRDHUP) and fires Cancel() so abandoned work
+// also stops early. A client's half-close (shutdown(SHUT_WR)) raises
+// POLLRDHUP too, so such a client gets 499 for a query that is still
+// running at the next poll. A queued connection whose deadline passes
+// keeps its queue slot until a worker pops it and answers the
+// {"stage":"queue"} 504.
 //
 // Endpoints:
 //   GET  /query?q=<patterns>&model=<m>[&model=..][&filter=..]
@@ -84,7 +89,8 @@ struct RdfServerOptions {
   /// `unhealthy_shed_min` connections were shed (guards tiny samples).
   double unhealthy_shed_fraction = 0.5;
   uint64_t unhealthy_shed_min = 8;
-  /// Client hang-up poll cadence for the in-flight watcher.
+  /// Client hang-up poll cadence for the in-flight watcher (which
+  /// polls in-flight sockets only, never the admission queue).
   int watch_interval_ms = 10;
   /// Statements between two deadline checks inside an insert batch.
   size_t insert_check_interval = 1024;

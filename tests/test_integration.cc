@@ -234,6 +234,32 @@ TEST_F(UniProtIntegrationTest, SnapshotRoundTripAtScale) {
       gen::kProbeReifiedTarget);
   ASSERT_TRUE(still.ok());
   EXPECT_TRUE(*still);
+
+  // The reopened store rebuilds the same dictionary: every VALUE_ID
+  // spells the same bytes with the same type code, and blank nodes keep
+  // their (model, label) scope.
+  const RdfStore& back = **reopened;
+  size_t values = 0;
+  size_t blanks = 0;
+  store_->values().table().Scan([&](storage::RowId, const storage::Row& row) {
+    const rdf::ValueId id = row[0].as_int64();
+    ++values;
+    std::string original, reread;
+    EXPECT_TRUE(store_->AppendNTriples(id, &original).ok());
+    EXPECT_TRUE(back.AppendNTriples(id, &reread).ok());
+    EXPECT_EQ(reread, original) << id;
+    EXPECT_EQ(*back.values().GetTypeCode(id),
+              *store_->values().GetTypeCode(id));
+    auto scope = store_->values().LookupBlankLabel(id);
+    EXPECT_EQ(back.values().LookupBlankLabel(id), scope) << id;
+    if (scope.has_value()) {
+      ++blanks;
+      EXPECT_EQ(back.LookupBlank(scope->first, scope->second), id);
+    }
+    return true;
+  });
+  EXPECT_EQ(values, store_->values().value_count());
+  EXPECT_GT(blanks, 0u);
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "rdf/vocab.h"
 
@@ -152,8 +154,42 @@ TEST_F(ValueStoreTest, TypeCodesMatchPaperTable) {
 TEST_F(ValueStoreTest, ReattachesToExistingTables) {
   auto id = store_.LookupOrInsert(Term::Uri("http://persist"));
   ASSERT_TRUE(id.ok());
+  // Every term kind, including long literals and blank nodes that share
+  // a label across models, rebuilds to the same dictionary entry.
+  std::string big(kLongLiteralThreshold + 7, 'r');
+  const Term terms[] = {
+      Term::PlainLiteral("plain \"quoted\"\n"),
+      Term::PlainLiteralLang("bonjour", "fr"),
+      Term::TypedLiteral("25", std::string(kXsdInt)),
+      Term::PlainLiteral(big),
+      Term::PlainLiteralLang(big, "en"),
+      Term::TypedLiteral(big, std::string(kXsdString)),
+  };
+  std::vector<ValueId> ids{*id};
+  for (const Term& term : terms) ids.push_back(*store_.LookupOrInsert(term));
+  const ValueId b1 = *store_.LookupOrInsertBlank(1, "shared");
+  const ValueId b2 = *store_.LookupOrInsertBlank(2, "shared");
+  ids.push_back(b1);
+  ids.push_back(b2);
+
   ValueStore second(&db_);  // same database: must see the same rows
   EXPECT_EQ(second.Lookup(Term::Uri("http://persist")).value(), *id);
+  for (ValueId value_id : ids) {
+    std::string before, after;
+    ASSERT_TRUE(store_.AppendNTriples(value_id, &before).ok());
+    ASSERT_TRUE(second.AppendNTriples(value_id, &after).ok());
+    EXPECT_EQ(after, before) << value_id;
+    EXPECT_EQ(*second.GetTypeCode(value_id), *store_.GetTypeCode(value_id));
+  }
+  for (const Term& term : terms) {
+    EXPECT_EQ(second.Lookup(term), store_.Lookup(term));
+  }
+  EXPECT_EQ(second.LookupBlank(1, "shared"), b1);
+  EXPECT_EQ(second.LookupBlank(2, "shared"), b2);
+  EXPECT_EQ(second.LookupBlankLabel(b1), std::make_pair(int64_t{1},
+                                                        std::string("shared")));
+  EXPECT_EQ(second.LookupBlankLabel(b2), std::make_pair(int64_t{2},
+                                                        std::string("shared")));
 }
 
 }  // namespace
