@@ -3,13 +3,14 @@
 //
 // Loads the synthetic UniProt dataset at one or more sizes through the
 // pipelined bulk loader, then reports the store's MemoryUsage()
-// breakdown normalized to bytes per loaded triple, plus load
-// throughput. An A/B section rebuilds the PRE-compression containers
-// (raw std::string dictionary copies, vector<uint32_t> posting lists
-// inside unordered_maps, and the six generic rdf_link$ hash indexes
-// keyed by ValueKey copies) from the loaded store and measures their
-// true heap cost through the allocator hooks, so the "uncompressed"
-// column is the real legacy layout, not an estimate.
+// breakdown, with the term dictionary a served store builds from it,
+// normalized to bytes per loaded triple, plus load throughput. An A/B
+// section rebuilds the PRE-compression containers (raw std::string
+// dictionary copies, vector<uint32_t> posting lists inside
+// unordered_maps, and the six generic rdf_link$ hash indexes keyed by
+// ValueKey copies) from the loaded store and measures their true heap
+// cost through the allocator hooks, so the "uncompressed" column is
+// the real legacy layout, not an estimate.
 //
 // Usage:
 //   bench_memory_footprint [--triples=N[,N...]] [--json=PATH] [--smoke]
@@ -18,7 +19,8 @@
 //               when RDFDB_BENCH_LARGE=1 is set)
 //   --json      write a BENCH_memory_footprint.json artifact
 //   --smoke     CI gate: exit non-zero unless compressed bytes/triple
-//               < uncompressed bytes/triple at every size
+//               (quad cache + term dictionary) < uncompressed
+//               bytes/triple at every size
 //
 // Not a google-benchmark binary on purpose: each measurement is one
 // full load (seconds at 1M), and the interesting output is a table of
@@ -40,6 +42,7 @@
 #include "rdf/bulk_load.h"
 #include "rdf/legacy_layout.h"
 #include "rdf/rdf_store.h"
+#include "rdf/term_dict.h"
 
 namespace {
 
@@ -139,6 +142,17 @@ bool RunSize(size_t target, SizeResult* out) {
           ? static_cast<double>(out->triples) / out->load_seconds
           : 0.0;
   out->mem = store->MemoryUsage();
+  // A plain RdfStore holds no term dictionary; price the one a
+  // SnapshotRdfStore (and so rdfdb_serve) builds from these rdf_value$
+  // rows, so the dictionary counts in the totals and in the gate.
+  rdfdb::rdf::TermDict dict;
+  const rdfdb::Status ingested = dict.Ingest(store->values());
+  if (!ingested.ok()) {
+    std::fprintf(stderr, "TermDict::Ingest failed: %s\n",
+                 ingested.ToString().c_str());
+    return false;
+  }
+  out->mem.term_dict_bytes = dict.ApproxBytes();
 
   // Rebuild the pre-compression containers from the live store and
   // price them with the allocator hooks.

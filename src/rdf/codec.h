@@ -1,20 +1,18 @@
-// Compression codecs for the in-memory store (ROADMAP item 2):
+// Compression codec for the in-memory store's posting lists:
+// PostingList, a delta+varint encoded strictly-ascending uint32
+// sequence with a per-64-value skip table, replacing the raw
+// vector<uint32_t> posting lists in LinkStore::ModelIdCache. A Cursor
+// decodes sequentially; SkipTo gallops over skip entries so
+// intersections decode only the blocks they visit.
 //
-//   * PostingList — a delta+varint encoded strictly-ascending uint32
-//     sequence with a per-64-value skip table, replacing the raw
-//     vector<uint32_t> posting lists in LinkStore::ModelIdCache. A
-//     Cursor decodes sequentially; SkipTo gallops over skip entries so
-//     intersections decode only the blocks they visit.
+// (Terms are not compressed: TermDict stores each term's finished
+// N-Triples spelling in an arena, because rendering a result cell
+// from it is a copy, where a front-coded pack cost a decode per cell.)
 //
-//   * FrontCodedPack — sorted strings stored in blocks of 16 as one
-//     full head string plus (shared-prefix-length, suffix) pairs,
-//     replacing the per-entry std::string copies in TermDict. Get()
-//     materializes lazily by walking one block (≤ 15 suffix splices).
-//
-// Both structures are immutable-once-shared: the COW quad-cache
-// discipline (LinkStore::MutableCache clones before the first mutation
-// after a ShareCaches()) means readers only ever see fully-published
-// bytes, so neither structure needs atomics of its own.
+// A list is immutable once shared: the COW quad-cache discipline
+// (LinkStore::MutableCache clones before the first mutation after a
+// ShareCaches()) means readers only ever see fully-published bytes, so
+// the list needs no atomics of its own.
 
 #ifndef RDFDB_RDF_CODEC_H_
 #define RDFDB_RDF_CODEC_H_
@@ -22,8 +20,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace rdfdb::rdf::codec {
@@ -213,63 +209,6 @@ class PostingList {
   std::vector<SkipEntry> skip_;
   uint32_t count_ = 0;
   uint32_t last_ = 0;
-};
-
-// ---- Front-coded string blocks --------------------------------------------
-
-/// Immutable pack of front-coded strings. Strings are stored in the
-/// order given to the builder (sort first for real compression: the
-/// shared prefix is computed against the previous string). Index i in
-/// the pack is the order of insertion.
-class FrontCodedPack {
- public:
-  /// Strings per block: one full head + 15 (prefix-len, suffix) pairs.
-  static constexpr uint32_t kBlockSize = 16;
-
-  FrontCodedPack() = default;
-
-  uint32_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  /// Materialize string `idx` (walks its block from the head).
-  std::string Get(uint32_t idx) const;
-
-  /// Append string `idx` to `*out`, assembled in place on its tail
-  /// (each byte copied once): no allocation beyond out's own growth.
-  void AppendTo(uint32_t idx, std::string* out) const;
-
-  /// Actual heap bytes owned (vector capacities).
-  size_t ApproxBytes() const {
-    return bytes_.capacity() * sizeof(uint8_t) +
-           block_offsets_.capacity() * sizeof(uint32_t);
-  }
-
- private:
-  friend class FrontCodedPackBuilder;
-
-  // Block layout in bytes_:
-  //   head:   varint(len)        + len bytes
-  //   member: varint(shared_len) + varint(suffix_len) + suffix bytes
-  std::vector<uint8_t> bytes_;
-  std::vector<uint32_t> block_offsets_;  ///< byte offset of each block head
-  uint32_t count_ = 0;
-};
-
-/// Builds a FrontCodedPack incrementally. Add() returns the index the
-/// string will have in the finished pack.
-class FrontCodedPackBuilder {
- public:
-  uint32_t Add(std::string_view s);
-
-  /// Finish: shrinks to fit and returns the pack. The builder is
-  /// reset to empty.
-  FrontCodedPack Build();
-
-  uint32_t size() const { return pack_.count_; }
-
- private:
-  FrontCodedPack pack_;
-  std::string prev_;
 };
 
 }  // namespace rdfdb::rdf::codec

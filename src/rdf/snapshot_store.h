@@ -93,6 +93,10 @@ class StoreVersion : public StoreView {
   /// Live triples across all models (tombstoned quads excluded).
   size_t TotalTripleCount() const;
 
+  /// The term dictionary this version reads (shared by every version
+  /// of the store, which outlives them all).
+  const TermDict& dict() const { return *dict_; }
+
   /// Publish sequence number (1 = the initial empty version).
   uint64_t sequence() const { return seq_; }
 

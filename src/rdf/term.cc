@@ -160,6 +160,37 @@ void SpellNTriples(TermKind kind, std::string_view language,
   }
 }
 
+Term TermFromSpelling(TermKind kind, std::string_view spelling) {
+  if (kind == TermKind::kUri) {
+    return Term::Uri(std::string(spelling.substr(1, spelling.size() - 2)));
+  }
+  if (kind == TermKind::kBlankNode) {
+    return Term::BlankNode(std::string(spelling.substr(2)));
+  }
+  // A literal: undo EscapeLiteralTail up to the closing quote.
+  std::string text;
+  text.reserve(spelling.size());
+  size_t i = 1;
+  for (; spelling[i] != '"'; ++i) {
+    char c = spelling[i];
+    if (c == '\\') {
+      c = spelling[++i];
+      c = c == 'n' ? '\n' : c == 'r' ? '\r' : c == 't' ? '\t' : c;
+    }
+    text.push_back(c);
+  }
+  const std::string_view suffix = spelling.substr(i + 1);
+  if (kind == TermKind::kTypedLiteral ||
+      kind == TermKind::kTypedLongLiteral) {
+    // suffix is ^^<datatype>
+    return Term::TypedLiteral(std::move(text),
+                              std::string(suffix.substr(3, suffix.size() - 4)));
+  }
+  // suffix is "" or @lang; an empty language gives a plain literal.
+  return Term::PlainLiteralLang(
+      std::move(text), std::string(suffix.empty() ? suffix : suffix.substr(1)));
+}
+
 std::string Term::ToNTriples() const {
   std::string out;
   out.reserve(lexical_.size() + language_.size() + datatype_.size() + 8);

@@ -110,6 +110,12 @@ void SpellNTriples(TermKind kind, std::string_view language,
                    std::string_view datatype, size_t lexical_start,
                    std::string* out);
 
+/// The inverse of SpellNTriples: the term of kind `kind` whose
+/// ToNTriples() is `spelling`. Only spellings SpellNTriples wrote are
+/// accepted, so nothing is validated: the first unescaped quote closes
+/// a literal, and what follows it is "", "@lang" or "^^<datatype>".
+Term TermFromSpelling(TermKind kind, std::string_view spelling);
+
 /// Parse an API-level term string as accepted by the paper's
 /// SDO_RDF_TRIPLE_S constructors:
 ///   * "_:label"           -> blank node

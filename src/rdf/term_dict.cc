@@ -1,21 +1,35 @@
 #include "rdf/term_dict.h"
 
-#include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "common/hash.h"
-#include "storage/table.h"
+#include "common/string_util.h"
 
 namespace rdfdb::rdf {
 
 namespace {
 
-// rdf_value$ column positions (mirrors value_store.cc).
-constexpr size_t kValueId = 0;
-constexpr size_t kValueName = 1;
-constexpr size_t kValueType = 2;
-constexpr size_t kLiteralType = 3;
-constexpr size_t kLanguageType = 4;
-constexpr size_t kLongValue = 5;
+/// The kind the Term factories give a decoded row: long literals by
+/// length, a plain literal's tag by whether it has one.
+TermKind KindOfRow(const ValueStore::RowTerm& t) {
+  const bool is_long = t.lexical.size() > kLongLiteralThreshold;
+  switch (t.kind) {
+    case TermKind::kUri:
+    case TermKind::kBlankNode:
+      return t.kind;
+    case TermKind::kTypedLiteral:
+    case TermKind::kTypedLongLiteral:
+      return is_long ? TermKind::kTypedLongLiteral : TermKind::kTypedLiteral;
+    case TermKind::kPlainLiteral:
+    case TermKind::kPlainLiteralLang:
+    case TermKind::kPlainLongLiteral:
+      break;
+  }
+  if (is_long) return TermKind::kPlainLongLiteral;
+  return t.language.empty() ? TermKind::kPlainLiteral
+                            : TermKind::kPlainLiteralLang;
+}
 
 }  // namespace
 
@@ -23,6 +37,7 @@ TermDict::HashTable::HashTable(size_t capacity)
     : slots(capacity), mask(capacity - 1) {}
 
 TermDict::TermDict() {
+  static_assert(sizeof(Entry) <= 24);
   term_table_.store(new HashTable(1024), std::memory_order_relaxed);
   id_table_.store(new HashTable(1024), std::memory_order_relaxed);
   bn_table_.store(new HashTable(256), std::memory_order_relaxed);
@@ -39,49 +54,60 @@ TermDict::~TermDict() {
   }
 }
 
-uint64_t TermDict::BlankKey(int64_t model_id, const std::string& label) {
+uint64_t TermDict::SpellingKey(std::string_view spelling) {
+  return Mix(Fnv1a64(spelling));
+}
+
+uint64_t TermDict::BlankKey(int64_t model_id, std::string_view label) {
   return Mix(HashCombine(static_cast<uint64_t>(model_id), Fnv1a64(label)));
 }
 
-uint64_t TermDict::KeyFor(TableKind kind, const Entry& entry) const {
+TermDict::BlankScope TermDict::ScopeOf(const Entry& entry) {
+  // Arena layout after a blank node's spelling: model id, label length,
+  // label bytes (unaligned, so copied out).
+  const char* p = entry.text + entry.size;
+  BlankScope scope{};
+  uint32_t label_size = 0;
+  std::memcpy(&scope.model_id, p, sizeof(scope.model_id));
+  std::memcpy(&label_size, p + sizeof(int64_t), sizeof(label_size));
+  scope.label = std::string_view(p + sizeof(int64_t) + sizeof(uint32_t),
+                                 label_size);
+  return scope;
+}
+
+uint64_t TermDict::KeyFor(TableKind kind, const Entry& entry) {
   switch (kind) {
     case TableKind::kId:
       return Mix(static_cast<uint64_t>(entry.id));
-    case TableKind::kBlank:
-      return BlankKey(entry.bn_model, entry.bn_label);
+    case TableKind::kBlank: {
+      const BlankScope scope = ScopeOf(entry);
+      return BlankKey(scope.model_id, scope.label);
+    }
     case TableKind::kTerm:
-      return Mix(entry.term_hash);
+      return SpellingKey(TextOf(entry));
   }
   return 0;
 }
 
-Term TermDict::MaterializeTerm(const Entry& entry) const {
-  std::string text = entry.pack->Get(entry.pack_slot);
-  switch (entry.kind) {
-    case TermKind::kUri:
-      return Term::Uri(std::move(text));
-    case TermKind::kBlankNode:
-      return Term::BlankNode(std::move(text));
-    case TermKind::kTypedLiteral:
-    case TermKind::kTypedLongLiteral:
-      return Term::TypedLiteral(std::move(text), entry.datatype);
-    case TermKind::kPlainLiteralLang:
-      return Term::PlainLiteralLang(std::move(text), entry.language);
-    case TermKind::kPlainLiteral:
-    case TermKind::kPlainLongLiteral:
-      // Long plain literals may carry a language tag (type code PLL);
-      // re-run the factory the ingest path used.
-      return entry.language.empty()
-                 ? Term::PlainLiteral(std::move(text))
-                 : Term::PlainLiteralLang(std::move(text), entry.language);
+char* TermDict::ArenaAllocate(size_t n) {
+  if (n > kArenaChunkBytes / 4) {
+    arena_blocks_.emplace_back(new char[n]);
+    arena_bytes_ += n;
+    return arena_blocks_.back().get();
   }
-  return Term();
+  if (n > arena_left_) {
+    arena_blocks_.emplace_back(new char[kArenaChunkBytes]);
+    arena_bytes_ += kArenaChunkBytes;
+    arena_next_ = arena_blocks_.back().get();
+    arena_left_ = kArenaChunkBytes;
+  }
+  char* p = arena_next_;
+  arena_next_ += n;
+  arena_left_ -= n;
+  return p;
 }
 
-size_t TermDict::AppendEntry(Entry entry) {
-  entry_string_bytes_ += entry.language.capacity() +
-                         entry.datatype.capacity() +
-                         entry.bn_label.capacity();
+size_t TermDict::AppendEntry(const Entry& entry) {
   const size_t index = count_.load(std::memory_order_relaxed);
   const size_t chunk_i = index >> kChunkShift;
   Chunk* chunk = chunks_[chunk_i].load(std::memory_order_relaxed);
@@ -90,7 +116,7 @@ size_t TermDict::AppendEntry(Entry entry) {
     chunks_[chunk_i].store(chunk, std::memory_order_release);
   }
   if (index == 0) first_id_ = entry.id;
-  (*chunk)[index & (kChunkSize - 1)] = std::move(entry);
+  (*chunk)[index & (kChunkSize - 1)] = entry;
   // Readers reach an entry through a table slot, release-stored after
   // this, or through FindById's direct probe below this count.
   count_.store(index + 1, std::memory_order_release);
@@ -106,7 +132,7 @@ void TermDict::TableInsert(std::atomic<HashTable*>* table_ptr,
     // superseded one so in-flight readers stay valid.
     auto grown = std::make_unique<HashTable>(2 * (table->mask + 1));
     for (size_t i = 0; i <= table->mask; ++i) {
-      const uint64_t v = table->slots[i].load(std::memory_order_relaxed);
+      const uint32_t v = table->slots[i].load(std::memory_order_relaxed);
       if (v == 0) continue;
       const uint64_t key = KeyFor(kind, EntryAt(v - 1));
       size_t j = key & grown->mask;
@@ -127,7 +153,7 @@ void TermDict::TableInsert(std::atomic<HashTable*>* table_ptr,
     if (table->slots[i].load(std::memory_order_relaxed) != 0) continue;
     // Entry contents were written before this release-store; a reader
     // that acquire-loads the slot sees them complete.
-    table->slots[i].store(static_cast<uint64_t>(entry_index) + 1,
+    table->slots[i].store(static_cast<uint32_t>(entry_index + 1),
                           std::memory_order_release);
     table->count += 1;
     return;
@@ -135,116 +161,73 @@ void TermDict::TableInsert(std::atomic<HashTable*>* table_ptr,
 }
 
 Status TermDict::Ingest(const ValueStore& values) {
-  const storage::Table& table = values.table();
-  const size_t total = table.row_count();  // append-only: rows are dense
-  if (total == ingested_rows_) return Status::OK();
-
-  // Pass 1: build each new row's full Term (hash, factory fields) and
-  // collect its lexical text for the batch's front-coded pack.
-  const size_t batch = total - ingested_rows_;
-  std::vector<Entry> entries;
-  std::vector<std::string> texts;
-  entries.reserve(batch);
-  texts.reserve(batch);
+  const size_t total = values.table().row_count();  // rows are dense
+  std::string spelling;
   for (size_t r = ingested_rows_; r < total; ++r) {
-    const storage::Row* row = table.Get(static_cast<storage::RowId>(r));
-    if (row == nullptr) {
-      return Status::Corruption("rdf_value$ row " + std::to_string(r) +
-                                " missing during dictionary ingest");
+    Result<ValueStore::RowTerm> row =
+        values.DecodeRow(static_cast<storage::RowId>(r));
+    if (!row.ok()) {
+      return Status::Corruption("dictionary ingest: " +
+                                row.status().message());
     }
-    Entry entry;
-    entry.id = row->at(kValueId).as_int64();
-    const std::string& type_code = row->at(kValueType).as_string();
-    const std::string& name = row->at(kValueName).as_string();
-    Term term;
-    if (type_code == "UR") {
-      term = Term::Uri(name);
-    } else if (type_code == "BN") {
-      term = Term::BlankNode(name.substr(2));
-      entry.is_blank = true;
-      auto scope = values.LookupBlankLabel(entry.id);
+    const ValueStore::RowTerm& t = *row;
+    spelling.assign(t.lexical);
+    SpellNTriples(t.kind, t.language, t.datatype, 0, &spelling);
+    if (spelling.size() > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("VALUE_ID " + std::to_string(t.id) +
+                                     " is spelled in more than 4 GiB");
+    }
+    std::optional<std::pair<int64_t, std::string>> scope;
+    size_t bytes = spelling.size();
+    if (t.kind == TermKind::kBlankNode) {
+      scope = values.LookupBlankLabel(t.id);
       if (!scope.has_value()) {
         return Status::Corruption("blank node VALUE_ID " +
-                                  std::to_string(entry.id) +
+                                  std::to_string(t.id) +
                                   " has no rdf_blank_node$ mapping");
       }
-      entry.bn_model = scope->first;
-      entry.bn_label = scope->second;
-    } else {
-      std::string text = row->at(kLongValue).is_null()
-                             ? name
-                             : row->at(kLongValue).as_clob();
-      if (type_code == "PL" || type_code == "PLL") {
-        std::string lang = row->at(kLanguageType).is_null()
-                               ? ""
-                               : row->at(kLanguageType).as_string();
-        term = lang.empty()
-                   ? Term::PlainLiteral(std::move(text))
-                   : Term::PlainLiteralLang(std::move(text),
-                                            std::move(lang));
-      } else if (type_code == "PL@") {
-        term = Term::PlainLiteralLang(std::move(text),
-                                      row->at(kLanguageType).as_string());
-      } else if (type_code == "TL" || type_code == "TLL") {
-        term = Term::TypedLiteral(std::move(text),
-                                  row->at(kLiteralType).as_string());
-      } else {
-        return Status::Corruption("unknown VALUE_TYPE " + type_code);
-      }
+      bytes += sizeof(int64_t) + sizeof(uint32_t) + scope->second.size();
     }
-    entry.term_hash = term.Hash();
-    entry.kind = term.kind();
-    entry.datatype = term.datatype();
-    entry.language = term.language();
-    texts.push_back(term.lexical());
-    entries.push_back(std::move(entry));
-  }
 
-  // Pass 2: pack the batch's lexical forms, sorted so shared prefixes
-  // (URI namespaces, id runs) actually neighbor each other. The pack
-  // is complete — and its address final — before any entry referencing
-  // it is published through a table slot.
-  std::vector<uint32_t> order(batch);
-  for (uint32_t i = 0; i < batch; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return texts[a] < texts[b];
-  });
-  codec::FrontCodedPackBuilder builder;
-  for (uint32_t i : order) {
-    entries[i].pack_slot = builder.Add(texts[i]);
-  }
-  auto pack = std::make_unique<codec::FrontCodedPack>(builder.Build());
-  pack_bytes_ += pack->ApproxBytes();
-  const codec::FrontCodedPack* pack_ptr = pack.get();
-  packs_.push_back(std::move(pack));
+    // The bytes are complete before the entry that points at them is
+    // published (AppendEntry's and TableInsert's release-stores).
+    char* text = ArenaAllocate(bytes);
+    std::memcpy(text, spelling.data(), spelling.size());
+    if (scope.has_value()) {
+      const uint32_t label_size = static_cast<uint32_t>(scope->second.size());
+      char* p = text + spelling.size();
+      std::memcpy(p, &scope->first, sizeof(int64_t));
+      std::memcpy(p + sizeof(int64_t), &label_size, sizeof(label_size));
+      std::memcpy(p + sizeof(int64_t) + sizeof(uint32_t),
+                  scope->second.data(), label_size);
+    }
+    Entry entry;
+    entry.text = text;
+    entry.size = static_cast<uint32_t>(spelling.size());
+    entry.flags = static_cast<uint32_t>(KindOfRow(t));
+    if (FindEscapable(spelling) == spelling.size()) entry.flags |= kJsonClean;
+    entry.id = t.id;
 
-  // Pass 3: publish entries in row order (VALUE_ID order), exactly as
-  // the one-at-a-time ingest did.
-  for (Entry& entry : entries) {
-    entry.pack = pack_ptr;
-    const bool is_blank = entry.is_blank;
-    const size_t index = AppendEntry(std::move(entry));
+    const size_t index = AppendEntry(entry);
     TableInsert(&id_table_, TableKind::kId, index);
-    if (is_blank) {
+    if (scope.has_value()) {
       TableInsert(&bn_table_, TableKind::kBlank, index);
     } else {
       TableInsert(&term_table_, TableKind::kTerm, index);
     }
+    ingested_rows_ = r + 1;
   }
-  ingested_rows_ = total;
   return Status::OK();
 }
 
 size_t TermDict::ApproxBytes() const {
   const size_t count = count_.load(std::memory_order_acquire);
   const size_t chunks = (count + kChunkSize - 1) >> kChunkShift;
-  size_t n = chunks * sizeof(Chunk) + entry_string_bytes_ + pack_bytes_ +
-             packs_.capacity() * sizeof(packs_[0]);
+  size_t n = chunks * sizeof(Chunk) + arena_bytes_ +
+             arena_blocks_.capacity() * sizeof(arena_blocks_[0]);
   auto table_bytes = [](const HashTable* table) {
-    return table == nullptr
-               ? size_t{0}
-               : sizeof(HashTable) +
-                     table->slots.size() * sizeof(std::atomic<uint64_t>);
+    return sizeof(HashTable) +
+           table->slots.size() * sizeof(std::atomic<uint32_t>);
   };
   n += table_bytes(term_table_.load(std::memory_order_acquire));
   n += table_bytes(id_table_.load(std::memory_order_acquire));
@@ -255,34 +238,31 @@ size_t TermDict::ApproxBytes() const {
 
 std::optional<ValueId> TermDict::Lookup(const Term& term) const {
   if (term.is_blank()) return std::nullopt;
+  // One spelling names one term, so equal spellings are equal terms.
+  const std::string spelling = term.ToNTriples();
   const HashTable* table = term_table_.load(std::memory_order_acquire);
-  const uint64_t hash = term.Hash();
-  const uint64_t key = Mix(hash);
+  const uint64_t key = SpellingKey(spelling);
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
-    const uint64_t v = table->slots[i].load(std::memory_order_acquire);
+    const uint32_t v = table->slots[i].load(std::memory_order_acquire);
     if (v == 0) return std::nullopt;
     const Entry& entry = EntryAt(v - 1);
-    // Hash-reject before touching the pack: only a (rare) full 64-bit
-    // collision pays a front-coded decode without a hit.
-    if (!entry.is_blank && entry.term_hash == hash &&
-        MaterializeTerm(entry) == term) {
+    if (entry.size == spelling.size() &&
+        std::memcmp(entry.text, spelling.data(), spelling.size()) == 0) {
       return entry.id;
     }
   }
 }
 
-std::optional<ValueId> TermDict::LookupBlank(
-    int64_t model_id, const std::string& label) const {
+std::optional<ValueId> TermDict::LookupBlank(int64_t model_id,
+                                             std::string_view label) const {
   const HashTable* table = bn_table_.load(std::memory_order_acquire);
   const uint64_t key = BlankKey(model_id, label);
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
-    const uint64_t v = table->slots[i].load(std::memory_order_acquire);
+    const uint32_t v = table->slots[i].load(std::memory_order_acquire);
     if (v == 0) return std::nullopt;
     const Entry& entry = EntryAt(v - 1);
-    if (entry.is_blank && entry.bn_model == model_id &&
-        entry.bn_label == label) {
-      return entry.id;
-    }
+    const BlankScope scope = ScopeOf(entry);
+    if (scope.model_id == model_id && scope.label == label) return entry.id;
   }
 }
 
@@ -298,7 +278,7 @@ const TermDict::Entry* TermDict::FindById(ValueId value_id) const {
   const HashTable* table = id_table_.load(std::memory_order_acquire);
   const uint64_t key = Mix(static_cast<uint64_t>(value_id));
   for (size_t i = key & table->mask;; i = (i + 1) & table->mask) {
-    const uint64_t v = table->slots[i].load(std::memory_order_acquire);
+    const uint32_t v = table->slots[i].load(std::memory_order_acquire);
     if (v == 0) return nullptr;
     const Entry& entry = EntryAt(v - 1);
     if (entry.id == value_id) return &entry;
@@ -310,7 +290,7 @@ Result<Term> TermDict::TermForValueId(ValueId value_id) const {
   if (entry == nullptr) {
     return Status::NotFound("VALUE_ID " + std::to_string(value_id));
   }
-  return MaterializeTerm(*entry);
+  return TermFromSpelling(KindOf(*entry), TextOf(*entry));
 }
 
 Status TermDict::AppendNTriples(ValueId value_id, std::string* out) const {
@@ -318,10 +298,15 @@ Status TermDict::AppendNTriples(ValueId value_id, std::string* out) const {
   if (entry == nullptr) {
     return Status::NotFound("VALUE_ID " + std::to_string(value_id));
   }
-  const size_t start = out->size();
-  entry->pack->AppendTo(entry->pack_slot, out);
-  SpellNTriples(entry->kind, entry->language, entry->datatype, start, out);
+  out->append(entry->text, entry->size);
   return Status::OK();
+}
+
+std::optional<TermDict::Spelling> TermDict::SpellingOf(
+    ValueId value_id) const {
+  const Entry* entry = FindById(value_id);
+  if (entry == nullptr) return std::nullopt;
+  return Spelling{TextOf(*entry), (entry->flags & kJsonClean) != 0};
 }
 
 }  // namespace rdfdb::rdf

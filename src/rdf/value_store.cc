@@ -333,24 +333,11 @@ std::optional<std::pair<int64_t, std::string>> ValueStore::LookupBlankLabel(
 
 namespace {
 
-/// A rdf_value$ row's term as views into the row: the parts GetTerm
-/// builds a Term from and AppendNTriples spells directly. PL and PLL
-/// rows decode to kPlainLiteral, whose language (possibly empty)
-/// decides the factory and the "@lang" suffix.
-struct RowTerm {
-  TermKind kind = TermKind::kUri;
-  std::string_view lexical;
-  std::string_view language;
-  std::string_view datatype;
-};
-
-Result<RowTerm> DecodeValueRow(const Row* row, ValueId value_id) {
-  if (row == nullptr) {
-    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
-  }
-  const std::string& type_code = row->at(kValueType).as_string();
-  const std::string& name = row->at(kValueName).as_string();
-  RowTerm t;
+Result<ValueStore::RowTerm> DecodeValueRow(const Row& row) {
+  const std::string& type_code = row.at(kValueType).as_string();
+  const std::string& name = row.at(kValueName).as_string();
+  ValueStore::RowTerm t;
+  t.id = row.at(kValueId).as_int64();
   if (type_code == "UR") {
     t.lexical = name;
     return t;
@@ -361,20 +348,20 @@ Result<RowTerm> DecodeValueRow(const Row* row, ValueId value_id) {
     t.lexical = std::string_view(name).substr(2);
     return t;
   }
-  t.lexical = row->at(kLongValue).is_null()
+  t.lexical = row.at(kLongValue).is_null()
                   ? std::string_view(name)
-                  : std::string_view(row->at(kLongValue).as_clob());
+                  : std::string_view(row.at(kLongValue).as_clob());
   if (type_code == "PL" || type_code == "PLL" || type_code == "PL@") {
     t.kind = type_code == "PL@" ? TermKind::kPlainLiteralLang
                                 : TermKind::kPlainLiteral;
-    if (!row->at(kLanguageType).is_null()) {
-      t.language = row->at(kLanguageType).as_string();
+    if (!row.at(kLanguageType).is_null()) {
+      t.language = row.at(kLanguageType).as_string();
     }
     return t;
   }
   if (type_code == "TL" || type_code == "TLL") {
     t.kind = TermKind::kTypedLiteral;
-    t.datatype = row->at(kLiteralType).as_string();
+    t.datatype = row.at(kLiteralType).as_string();
     return t;
   }
   return Status::Corruption("unknown VALUE_TYPE " + type_code);
@@ -382,11 +369,27 @@ Result<RowTerm> DecodeValueRow(const Row* row, ValueId value_id) {
 
 }  // namespace
 
-Result<Term> ValueStore::GetTerm(ValueId value_id) const {
+Result<ValueStore::RowTerm> ValueStore::DecodeRow(
+    storage::RowId row_id) const {
+  const Row* row = values_->Get(row_id);
+  if (row == nullptr) {
+    return Status::NotFound("rdf_value$ row " + std::to_string(row_id));
+  }
+  return DecodeValueRow(*row);
+}
+
+Result<ValueStore::RowTerm> ValueStore::DecodeValueId(
+    ValueId value_id) const {
   const int64_t rid = RowForId(value_id);
-  RDFDB_ASSIGN_OR_RETURN(
-      RowTerm t,
-      DecodeValueRow(rid < 0 ? nullptr : values_->Get(rid), value_id));
+  const Row* row = rid < 0 ? nullptr : values_->Get(rid);
+  if (row == nullptr) {
+    return Status::NotFound("VALUE_ID " + std::to_string(value_id));
+  }
+  return DecodeValueRow(*row);
+}
+
+Result<Term> ValueStore::GetTerm(ValueId value_id) const {
+  RDFDB_ASSIGN_OR_RETURN(RowTerm t, DecodeValueId(value_id));
   std::string lexical(t.lexical);
   switch (t.kind) {
     case TermKind::kUri:
@@ -403,10 +406,7 @@ Result<Term> ValueStore::GetTerm(ValueId value_id) const {
 }
 
 Status ValueStore::AppendNTriples(ValueId value_id, std::string* out) const {
-  const int64_t rid = RowForId(value_id);
-  RDFDB_ASSIGN_OR_RETURN(
-      RowTerm t,
-      DecodeValueRow(rid < 0 ? nullptr : values_->Get(rid), value_id));
+  RDFDB_ASSIGN_OR_RETURN(RowTerm t, DecodeValueId(value_id));
   const size_t start = out->size();
   out->append(t.lexical);
   SpellNTriples(t.kind, t.language, t.datatype, start, out);

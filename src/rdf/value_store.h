@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +76,23 @@ class ValueStore {
   /// node VALUE_ID was created (used by logical logging).
   std::optional<std::pair<int64_t, std::string>> LookupBlankLabel(
       ValueId value_id) const;
+
+  /// A stored term as views into its rdf_value$ row: its VALUE_ID and
+  /// the parts SpellNTriples takes. PL, PLL and PL@ rows decode to a
+  /// plain-literal kind whose language (possibly empty) decides the
+  /// "@lang" suffix; TL and TLL rows decode to kTypedLiteral. The views
+  /// live as long as the row (rows are never updated or deleted).
+  struct RowTerm {
+    ValueId id = 0;
+    TermKind kind = TermKind::kUri;
+    std::string_view lexical;
+    std::string_view language;
+    std::string_view datatype;
+  };
+
+  /// Decode rdf_value$ row `row_id`. Rows are append-only and never
+  /// deleted, so 0..table().row_count() are all present.
+  Result<RowTerm> DecodeRow(storage::RowId row_id) const;
 
   /// Reconstruct the Term stored under `value_id`.
   Result<Term> GetTerm(ValueId value_id) const;
@@ -143,6 +161,9 @@ class ValueStore {
                               const std::string& datatype,
                               const std::string& language);
   static uint64_t FingerprintRow(const storage::Row& row);
+
+  /// DecodeRow of the row stored under `value_id`; NotFound names the id.
+  Result<RowTerm> DecodeValueId(ValueId value_id) const;
 
   /// Track a newly visible rdf_value$ row in both lookup structures.
   void RegisterRow(storage::RowId row_id, const storage::Row& row);

@@ -52,21 +52,21 @@ std::string PartialStatsJson(const obs::QueryTrace& trace) {
   return out;
 }
 
-/// Append the result rows as JSON arrays of N-Triples strings, written
-/// straight from the result's view (its term dictionary) with no Term
-/// built: each cell is spelled into one reused scratch buffer and
-/// JSON-escaped onto `body`. The view must still be alive
-/// (query/match.h's lifetime rule). Rendering spends the same deadline
-/// as the match: a fired `token` (may be null) stops it within
-/// query::kCancelCheckIntervalRows rows, the executor's interval, with
-/// DeadlineExceeded or Cancelled.
+/// Append the result rows as JSON arrays of N-Triples strings, copied
+/// straight from the pinned version's term dictionary, where each term
+/// is stored spelled: a JSON-clean spelling goes between two quotes as
+/// is, and only a flagged one is escaped. `dict` must be the dictionary
+/// of the version the result came from (query/match.h's lifetime
+/// rule). Rendering spends the same deadline as the match: a fired
+/// `token` (may be null) stops it within query::kCancelCheckIntervalRows
+/// rows, the executor's interval, with DeadlineExceeded or Cancelled.
 Status AppendJsonRows(const query::MatchResult& table,
-                      const CancelToken* token, std::string* body) {
+                      const rdf::TermDict& dict, const CancelToken* token,
+                      std::string* body) {
   const size_t width = table.columns().size();
   // Typical cells run 20-60 bytes: start near the final size rather
   // than doubling up to it.
   body->reserve(body->size() + table.row_count() * (width * 32 + 4));
-  std::string scratch;
   for (size_t r = 0; r < table.row_count(); ++r) {
     if (token != nullptr && r % query::kCancelCheckIntervalRows == 0 &&
         token->Expired()) {
@@ -81,10 +81,18 @@ Status AppendJsonRows(const query::MatchResult& table,
     body->push_back('[');
     for (size_t c = 0; c < width; ++c) {
       if (c > 0) body->append(", ", 2);
-      scratch.clear();
-      RDFDB_RETURN_NOT_OK(
-          table.view()->AppendNTriples(table.id(r, c), &scratch));
-      obs::AppendJsonString(scratch, body);
+      const std::optional<rdf::TermDict::Spelling> cell =
+          dict.SpellingOf(table.id(r, c));
+      if (!cell.has_value()) {
+        return Status::NotFound("VALUE_ID " + std::to_string(table.id(r, c)));
+      }
+      if (cell->json_clean) {
+        body->push_back('"');
+        body->append(cell->text);
+        body->push_back('"');
+      } else {
+        obs::AppendJsonString(cell->text, body);
+      }
     }
     body->push_back(']');
   }
@@ -230,6 +238,9 @@ void RdfServer::Shutdown() {
   }
   workers_.clear();
   if (watcher_.joinable()) watcher_.join();
+  // Every thread is gone: close the shed connections still draining.
+  for (const ShedConn& shed : shed_) ::close(shed.fd);
+  shed_.clear();
 
   if (options_.event_log != nullptr) options_.event_log->Flush();
   running_.store(false, std::memory_order_release);
@@ -282,14 +293,16 @@ void RdfServer::AcceptLoop() {
       SendHttpResponse(conn, resp);
       // Consume the client's request before closing: closing with
       // unread bytes in the receive buffer makes the kernel send RST,
-      // which can destroy the 503 before the client reads it. One
-      // bounded drain pass (the short SO_RCVTIMEO above caps it) turns
-      // the refusal into a clean FIN.
+      // which can destroy the 503 before the client reads it. The
+      // watcher drains it to EOF (bounded by the same short timeout)
+      // and then closes, turning the refusal into a clean FIN while
+      // the acceptor goes straight back to accept().
       ::shutdown(conn, SHUT_WR);
-      char drain[1024];
-      while (::recv(conn, drain, sizeof(drain), 0) > 0) {
-      }
-      ::close(conn);
+      std::lock_guard<std::mutex> lock(watch_mu_);
+      shed_.push_back(ShedConn{
+          conn, std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(
+                        std::min(options_.io_timeout_ms, 1000))});
     }
   }
 }
@@ -440,7 +453,7 @@ HttpResponse RdfServer::HandleQuery(const HttpRequest& request,
     obs::AppendJsonString(table.columns()[c], &body);
   }
   body += "], \"rows\": [";
-  Status rendered = AppendJsonRows(table, token, &body);
+  Status rendered = AppendJsonRows(table, pin->dict(), token, &body);
   if (rendered.IsDeadlineExceeded() || rendered.IsCancelled()) {
     return ResponseForStatus(rendered, PartialStatsJson(trace));
   }
@@ -556,10 +569,35 @@ void RdfServer::UnregisterWatch(int fd) {
       watched_.end());
 }
 
+void RdfServer::DrainShedLocked() {
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < shed_.size();) {
+    // Read what the refused client still sends, at most 64 KiB a pass
+    // so a client that streams cannot hold the watcher.
+    char drain[4096];
+    ssize_t n = 0;
+    for (int reads = 0; reads < 16; ++reads) {
+      n = ::recv(shed_[i].fd, drain, sizeof(drain), MSG_DONTWAIT);
+      if (n <= 0) break;
+    }
+    const bool open =
+        n > 0 || (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                            errno == EINTR));
+    if (open && now < shed_[i].close_by) {
+      ++i;
+      continue;
+    }
+    ::close(shed_[i].fd);
+    shed_[i] = shed_.back();
+    shed_.pop_back();
+  }
+}
+
 void RdfServer::WatchLoop() {
   // Poll every in-flight socket for client hang-up; a vanished client
   // flips its request's token so the executor stops burning CPU on an
-  // answer nobody will read. Exits only after the workers are done
+  // answer nobody will read. Each pass also drains and closes the
+  // connections the acceptor shed. Exits only after the workers are done
   // (Shutdown joins workers first, then flips running_ last — here the
   // loop keys off stopping_ + an empty watch list to serve the drain).
   std::vector<pollfd> fds;
@@ -571,6 +609,7 @@ void RdfServer::WatchLoop() {
       // token pointer observed here is alive. poll() is non-blocking
       // (timeout 0), so the critical section stays microseconds.
       std::lock_guard<std::mutex> lock(watch_mu_);
+      DrainShedLocked();
       if (stopping_.load(std::memory_order_acquire) && watched_.empty() &&
           queue_.depth() == 0) {
         return;

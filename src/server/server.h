@@ -15,7 +15,9 @@
 // a well-formed 504 carrying partial-progress stats from the query
 // trace. A watcher thread polls in-flight sockets — not queued ones —
 // for client hang-ups (POLLRDHUP) and fires Cancel() so abandoned work
-// also stops early. A client's half-close (shutdown(SHUT_WR)) raises
+// also stops early; it also reads each shed client's request to EOF
+// (at most ~1 s) before closing it, so the acceptor never waits on a
+// refused client. A client's half-close (shutdown(SHUT_WR)) raises
 // POLLRDHUP too, so such a client gets 499 for a query that is still
 // running at the next poll. A queued connection whose deadline passes
 // keeps its queue slot until a worker pops it and answers the
@@ -158,9 +160,19 @@ class RdfServer {
     CancelToken* token = nullptr;
   };
 
+  /// A shed connection whose 503 is sent: the watcher reads the
+  /// client's request off it until EOF or `close_by`, then closes it.
+  struct ShedConn {
+    int fd = -1;
+    std::chrono::steady_clock::time_point close_by;
+  };
+
   void AcceptLoop();
   void WorkerLoop();
   void WatchLoop();
+  /// One non-blocking drain pass over shed_; closes the finished ones.
+  /// Caller holds watch_mu_.
+  void DrainShedLocked();
 
   /// Serve one admitted connection end-to-end (parse, deadline, route,
   /// respond, close).
@@ -199,6 +211,7 @@ class RdfServer {
 
   mutable std::mutex watch_mu_;
   std::vector<InflightWatch> watched_;
+  std::vector<ShedConn> shed_;  ///< guarded by watch_mu_
 
   std::mutex shutdown_mu_;  ///< serializes Shutdown() callers
 };

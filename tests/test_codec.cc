@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <random>
-#include <set>
-#include <string>
 #include <vector>
 
 namespace rdfdb::rdf::codec {
@@ -191,145 +189,6 @@ TEST(PostingListTest, GallopingIntersection) {
     if (a.AtEnd()) break;
   }
   EXPECT_EQ(got, sparse);
-}
-
-// ---- FrontCodedPack -------------------------------------------------------
-
-TEST(FrontCodedPackTest, EmptyPack) {
-  FrontCodedPackBuilder builder;
-  FrontCodedPack pack = builder.Build();
-  EXPECT_TRUE(pack.empty());
-  EXPECT_EQ(pack.size(), 0u);
-}
-
-TEST(FrontCodedPackTest, SingleString) {
-  FrontCodedPackBuilder builder;
-  EXPECT_EQ(builder.Add("http://example.org/a"), 0u);
-  FrontCodedPack pack = builder.Build();
-  ASSERT_EQ(pack.size(), 1u);
-  EXPECT_EQ(pack.Get(0), "http://example.org/a");
-}
-
-TEST(FrontCodedPackTest, EmptyStringMembers) {
-  FrontCodedPackBuilder builder;
-  builder.Add("");
-  builder.Add("");
-  builder.Add("a");
-  builder.Add("ab");
-  FrontCodedPack pack = builder.Build();
-  EXPECT_EQ(pack.Get(0), "");
-  EXPECT_EQ(pack.Get(1), "");
-  EXPECT_EQ(pack.Get(2), "a");
-  EXPECT_EQ(pack.Get(3), "ab");
-}
-
-TEST(FrontCodedPackTest, AdversarialSharedPrefixes) {
-  // Each string is a prefix of the next; then a sudden full reset; then
-  // strings that share everything but the last byte.
-  std::vector<std::string> strings;
-  std::string grow = "urn:lsid:uniprot.org:uniprot:";
-  for (int i = 0; i < 40; ++i) {
-    grow.push_back(static_cast<char>('A' + (i % 26)));
-    strings.push_back(grow);
-  }
-  strings.push_back("completely-different");
-  for (int i = 0; i < 40; ++i) {
-    std::string s = "http://purl.uniprot.org/core/annotation#0000";
-    s.back() = static_cast<char>('0' + (i % 10));
-    s[s.size() - 2] = static_cast<char>('0' + (i / 10));
-    strings.push_back(s);
-  }
-  std::sort(strings.begin(), strings.end());
-  strings.erase(std::unique(strings.begin(), strings.end()), strings.end());
-
-  FrontCodedPackBuilder builder;
-  for (const std::string& s : strings) builder.Add(s);
-  FrontCodedPack pack = builder.Build();
-  ASSERT_EQ(pack.size(), strings.size());
-  for (uint32_t i = 0; i < pack.size(); ++i) {
-    EXPECT_EQ(pack.Get(i), strings[i]) << "index " << i;
-  }
-}
-
-TEST(FrontCodedPackTest, CompressesSortedUris) {
-  std::vector<std::string> strings;
-  for (int i = 0; i < 1000; ++i) {
-    strings.push_back("http://purl.uniprot.org/core/protein/P" +
-                      std::to_string(100000 + i));
-  }
-  std::sort(strings.begin(), strings.end());
-  size_t raw = 0;
-  for (const std::string& s : strings) raw += s.size();
-
-  FrontCodedPackBuilder builder;
-  for (const std::string& s : strings) builder.Add(s);
-  FrontCodedPack pack = builder.Build();
-  EXPECT_LT(pack.ApproxBytes(), raw / 2) << "front coding should at least "
-                                            "halve sorted shared-prefix URIs";
-  for (uint32_t i = 0; i < pack.size(); ++i) {
-    ASSERT_EQ(pack.Get(i), strings[i]);
-  }
-}
-
-TEST(FrontCodedPackTest, AppendToDecodesInPlaceOntoNonEmptyOut) {
-  // Two full blocks of long (past any small-string buffer) members that
-  // share long prefixes, grow and shrink, so slots 1..15 each splice a
-  // suffix onto a cut-back predecessor on the tail of `out`.
-  std::vector<std::string> strings;
-  for (int i = 0; i < 2 * static_cast<int>(FrontCodedPack::kBlockSize); ++i) {
-    std::string s = "http://purl.uniprot.org/citations/" +
-                    std::to_string(1000 + i / 3);
-    if (i % 3 == 1) s += "/annotation/with/a/longer/tail";
-    if (i % 3 == 2) s += "#x";
-    strings.push_back(std::move(s));
-  }
-  std::sort(strings.begin(), strings.end());
-
-  FrontCodedPackBuilder builder;
-  for (const std::string& s : strings) builder.Add(s);
-  FrontCodedPack pack = builder.Build();
-  const std::string prefix =
-      "an earlier cell, longer than the members it precedes: "
-      "<http://example.org/already/written>";
-  for (uint32_t slot : {0u, 1u, 15u, 16u, 17u, 31u}) {
-    SCOPED_TRACE("slot " + std::to_string(slot));
-    std::string out = prefix;
-    pack.AppendTo(slot, &out);
-    EXPECT_EQ(out, prefix + strings[slot]);
-    // A second decode appends after the first, leaving it intact.
-    pack.AppendTo(slot, &out);
-    EXPECT_EQ(out, prefix + strings[slot] + strings[slot]);
-  }
-}
-
-TEST(FrontCodedPackTest, FuzzRandomStrings) {
-  std::mt19937 rng(1234);
-  for (int round = 0; round < 20; ++round) {
-    size_t n = rng() % 300;
-    std::vector<std::string> strings;
-    strings.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      size_t len = rng() % 60;
-      std::string s;
-      for (size_t j = 0; j < len; ++j) {
-        // Small alphabet to force accidental shared prefixes, and
-        // embedded NUL bytes to prove binary safety.
-        s.push_back(static_cast<char>("ab\0xyz"[rng() % 6]));
-      }
-      strings.push_back(std::move(s));
-    }
-    bool sorted = (round % 2) == 0;
-    if (sorted) std::sort(strings.begin(), strings.end());
-
-    FrontCodedPackBuilder builder;
-    for (const std::string& s : strings) builder.Add(s);
-    FrontCodedPack pack = builder.Build();
-    ASSERT_EQ(pack.size(), strings.size());
-    for (uint32_t i = 0; i < pack.size(); ++i) {
-      ASSERT_EQ(pack.Get(i), strings[i])
-          << "round " << round << " index " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -265,6 +265,50 @@ TEST_F(ServerTest, ShedWhenAdmissionQueueIsFull) {
   EXPECT_TRUE(slow_status.load() == 200 || slow_status.load() == 504);
 }
 
+// The acceptor hands a shed connection to the watcher to drain and
+// close, so a refused client that neither closes nor sends more holds
+// up nobody: the next admitted request is served at once, not after
+// the ~1 s the refused socket may be drained for.
+TEST_F(ServerTest, ShedClientThatNeverClosesDoesNotDelayTheNextRequest) {
+  RdfServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  options.io_timeout_ms = 1000;
+  auto server = StartServer(options);
+
+  // Hold the worker for ~300 ms and fill the queue behind it.
+  std::thread busy([&] {
+    (void)Get(server->port(), HeavyQueryTarget(), {{"X-Deadline-Ms", "300"}});
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  std::thread queued([&] { (void)Get(server->port(), CheapQueryTarget()); });
+  std::this_thread::sleep_for(milliseconds(50));
+
+  // Refused: it reads its 503, then keeps its socket open and silent.
+  const int refused = Connect(server->port());
+  ASSERT_GE(refused, 0);
+  SendAll(refused, "GET " + CheapQueryTarget() + " HTTP/1.1\r\n\r\n");
+  std::string head;
+  char buf[4096];
+  while (head.find("overloaded") == std::string::npos) {
+    const ssize_t n = ::recv(refused, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << head;
+    head.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(head.rfind("HTTP/1.1 503", 0), 0u) << head;
+
+  // Worker and queue are free again; the refused client is still open.
+  busy.join();
+  queued.join();
+  const auto t0 = steady_clock::now();
+  auto next = Get(server->port(), CheapQueryTarget());
+  const auto elapsed = steady_clock::now() - t0;
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status, 200) << next->body;
+  EXPECT_LT(elapsed, milliseconds(200));
+  ::close(refused);
+}
+
 TEST_F(ServerTest, MalformedRequestGets400) {
   auto server = StartServer({});
   std::string resp = Raw(server->port(), "GET\r\n\r\n");

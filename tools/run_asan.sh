@@ -5,7 +5,7 @@
 # includes the corrupt-input corpus (test_corrupt_recovery: truncated /
 # bit-flipped / length-attacked snapshots, logs and manifests), the
 # crash-recovery torture harness, and the compression codec fuzz tests
-# (test_codec varint/posting-list/front-coding round-trips plus the
+# (test_codec varint/posting-list round-trips plus the
 # test_exec_diff compressed-vs-table-scan differentials), so
 # hostile-byte parsing and block-decode paths get sanitizer coverage
 # here.

@@ -7,12 +7,13 @@
 # threads while the registry renders), the parallel join executor's
 # differential tests (which exercise the chunked worker/consumer
 # pipeline — and the compressed posting-cursor / galloping leaf scans —
-# at several thread counts), and the codec round-trip/fuzz tests
-# (snapshot readers decode posting blocks and front-coded packs
-# concurrently with the writer, so the decoders themselves belong in
-# this job too). Builds a dedicated build-tsan tree (so a normal build/
-# is left untouched) and runs the test binaries directly; any TSan
-# report fails the run.
+# at several thread counts), the codec round-trip/fuzz tests
+# (snapshot readers decode posting blocks concurrently with the writer,
+# so the decoders themselves belong in this job too), and the term
+# dictionary (a reader resolves ids and probes its tables while the
+# writer ingests into the arena and grows them). Builds a dedicated
+# build-tsan tree (so a normal build/ is left untouched) and runs the
+# test binaries directly; any TSan report fails the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +25,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DRDFDB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target test_bulk_load test_snapshot_store \
-  test_metrics test_codec \
+  test_metrics test_codec test_term_dict \
   test_exec_diff test_event_log test_span_timeline test_slow_query_log \
   test_resource_tracker test_profiler test_memory_accounting \
   test_flight_recorder test_cancel test_server test_serve_crash
@@ -34,6 +35,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_snapshot_store
 "$BUILD_DIR"/tests/test_metrics
 "$BUILD_DIR"/tests/test_codec
+"$BUILD_DIR"/tests/test_term_dict
 "$BUILD_DIR"/tests/test_exec_diff
 "$BUILD_DIR"/tests/test_event_log
 "$BUILD_DIR"/tests/test_span_timeline
